@@ -89,22 +89,48 @@ impl Bitmap {
 
     /// Iterates over the indices of set bits in increasing order.
     pub fn iter_ones(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.nbits).filter(move |&i| self.get(i))
+        set_bits(self.words.iter().copied(), self.nbits)
     }
 
     /// Iterates over the indices of clear bits in increasing order.
     pub fn iter_zeros(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.nbits).filter(move |&i| !self.get(i))
+        set_bits(self.words.iter().map(|w| !w), self.nbits)
     }
 
     /// The backing words, 64 bits each, bit `i` at `words()[i / 64]` bit
     /// `i % 64`. Bits at or beyond [`len`](Self::len) are always zero.
     ///
-    /// Lets whole-bitmap set algebra (e.g. the lazy-sweep survivor census)
-    /// run one word at a time instead of one bit at a time.
+    /// Lets whole-bitmap set algebra (e.g. the sweep kernel) run one word
+    /// at a time instead of one bit at a time.
     pub fn words(&self) -> &[u64] {
         &self.words
     }
+
+    /// Mutable backing words, for word-at-a-time updates. Callers must
+    /// keep bits at or beyond [`len`](Self::len) zero.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+}
+
+/// The indices of the set bits of `words` (bit `i` in word `i / 64`) below
+/// `nbits`, ascending: one `trailing_zeros` per set bit instead of one test
+/// per bit.
+fn set_bits(words: impl Iterator<Item = u64>, nbits: u32) -> impl Iterator<Item = u32> {
+    words.enumerate().flat_map(move |(wi, w)| {
+        let base = wi as u32 * 64;
+        let mut w = match nbits - base {
+            n if n >= 64 => w,
+            n => w & ((1 << n) - 1),
+        };
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let bit = w.trailing_zeros();
+                w &= w - 1;
+                base + bit
+            })
+        })
+    })
 }
 
 impl fmt::Debug for Bitmap {
@@ -253,12 +279,18 @@ impl AtomicBitmap {
 
     /// Iterates over the indices of set bits in increasing order.
     pub fn iter_ones(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.nbits).filter(move |&i| self.get(i))
+        set_bits(
+            self.words.iter().map(|w| w.load(Ordering::Relaxed)),
+            self.nbits,
+        )
     }
 
     /// Iterates over the indices of clear bits in increasing order.
     pub fn iter_zeros(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.nbits).filter(move |&i| !self.get(i))
+        set_bits(
+            self.words.iter().map(|w| !w.load(Ordering::Relaxed)),
+            self.nbits,
+        )
     }
 
     /// Reads backing word `i` (bits `64 * i ..`), or 0 past the end.
@@ -325,6 +357,21 @@ mod tests {
         b.set(7);
         assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![1, 7]);
         assert_eq!(b.iter_zeros().count(), 8);
+    }
+
+    #[test]
+    fn word_iteration_matches_bit_tests() {
+        // Lengths on, just past, and short of word boundaries.
+        for nbits in [1u32, 63, 64, 65, 128, 170, 341] {
+            let mut b = Bitmap::new(nbits);
+            for i in (0..nbits).filter(|i| i % 3 == 0 || i % 64 == 63) {
+                b.set(i);
+            }
+            let ones: Vec<u32> = (0..nbits).filter(|&i| b.get(i)).collect();
+            let zeros: Vec<u32> = (0..nbits).filter(|&i| !b.get(i)).collect();
+            assert_eq!(b.iter_ones().collect::<Vec<_>>(), ones, "{nbits} bits");
+            assert_eq!(b.iter_zeros().collect::<Vec<_>>(), zeros, "{nbits} bits");
+        }
     }
 
     #[test]

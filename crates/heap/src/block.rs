@@ -10,7 +10,15 @@ use crate::{AtomicBitmap, Bitmap, SizeClass, GRANULE_BYTES};
 use gc_vmspace::{Addr, PAGE_BYTES};
 use std::fmt;
 
-/// Identifier of a live [`Block`]. Ids are never reused.
+/// Identifier of a live [`Block`].
+///
+/// Ids are recycled: releasing a block returns its id to the heap, and the
+/// next block created takes it, so the block table never grows past the
+/// peak number of live blocks. An id (and any [`ObjRef`] carrying it) is
+/// therefore valid only until its block is released — that is, until the
+/// next sweep that finds the block empty, or an explicit free of its last
+/// object. A collector holds `ObjRef`s only while no block can be released
+/// (during a mark phase or an incremental cycle; see `Heap::release_block`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct BlockId(pub(crate) u32);
 
@@ -99,6 +107,45 @@ pub struct Block {
     /// space mapped (and zeroed) them, so never-used slots are still
     /// all-zero and allocation may skip the explicit fill.
     pub(crate) zeroed: bool,
+    /// Per-slot descriptor index of typed objects ([`NO_DESCRIPTOR`] for
+    /// untyped slots), created when the block first holds a typed object.
+    /// An entry is meaningful only while its slot is allocated: every
+    /// allocation overwrites it, so the sweep never touches it.
+    pub(crate) descriptors: Option<Box<[u32]>>,
+}
+
+/// [`Block::descriptors`] entry of an untyped slot.
+pub(crate) const NO_DESCRIPTOR: u32 = u32::MAX;
+
+/// Slot tallies of one block's sweep decision.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub(crate) struct SlotFates {
+    /// Allocated slots that survive.
+    pub(crate) live: u32,
+    /// Allocated slots that are reclaimed.
+    pub(crate) freed: u32,
+    /// Survivors that were young and become old.
+    pub(crate) promoted: u32,
+}
+
+/// The sweep kernel, 64 slots at a time: returns `(keep, freed)` for one
+/// word of the allocation, mark and old bitmaps. A slot survives if it is
+/// allocated and marked — or allocated and old during a minor sweep — and
+/// every survivor ends up old (tenured), so the promoted slots are
+/// `keep & !old`.
+#[inline]
+fn sweep_word(alloc: u64, marked: u64, old: u64, minor: bool) -> (u64, u64) {
+    let keep = alloc & (marked | if minor { old } else { 0 });
+    (keep, alloc & !keep)
+}
+
+impl SlotFates {
+    #[inline]
+    fn add(&mut self, keep: u64, freed: u64, old: u64) {
+        self.live += keep.count_ones();
+        self.freed += freed.count_ones();
+        self.promoted += (keep & !old).count_ones();
+    }
 }
 
 impl Block {
@@ -116,6 +163,7 @@ impl Block {
             pending: false,
             bump: 0,
             zeroed: false,
+            descriptors: None,
         }
     }
 
@@ -133,7 +181,66 @@ impl Block {
             pending: false,
             bump: 0,
             zeroed: false,
+            descriptors: None,
         }
+    }
+
+    /// The sweep decision against the current mark bits, counted but not
+    /// applied: the lazy snapshot and the pending-aware censuses use it.
+    pub(crate) fn sweep_census(&self, minor: bool) -> SlotFates {
+        let mut fates = SlotFates::default();
+        for (i, (&alloc, &old)) in self
+            .allocated
+            .words()
+            .iter()
+            .zip(self.old.words())
+            .enumerate()
+        {
+            let (keep, freed) = sweep_word(alloc, self.marked.word(i), old, minor);
+            fates.add(keep, freed, old);
+        }
+        fates
+    }
+
+    /// Applies the sweep decision in place: freed slots lose their
+    /// allocation and old bits, survivors become old.
+    pub(crate) fn sweep_apply(&mut self, minor: bool) -> SlotFates {
+        let mut fates = SlotFates::default();
+        let words = self
+            .allocated
+            .words_mut()
+            .iter_mut()
+            .zip(self.old.words_mut());
+        for (i, (alloc, old)) in words.enumerate() {
+            let (keep, freed) = sweep_word(*alloc, self.marked.word(i), *old, minor);
+            fates.add(keep, freed, *old);
+            *alloc = keep;
+            *old = (*old & !freed) | keep;
+        }
+        fates
+    }
+
+    /// Records the descriptor index of the object just allocated in
+    /// `slot` (`None` for an untyped object), creating the side table on
+    /// the block's first typed object.
+    pub(crate) fn set_descriptor(&mut self, slot: u32, desc: Option<u32>) {
+        if self.descriptors.is_none() && desc.is_some() {
+            self.descriptors = Some(vec![NO_DESCRIPTOR; self.slots() as usize].into());
+        }
+        if let Some(table) = &mut self.descriptors {
+            table[slot as usize] = desc.unwrap_or(NO_DESCRIPTOR);
+        }
+    }
+
+    /// The descriptor index of the typed object allocated at `base`, if
+    /// any. Blocks that never held a typed object answer without any slot
+    /// arithmetic.
+    pub(crate) fn descriptor_at(&self, base: Addr) -> Option<u32> {
+        let table = self.descriptors.as_deref()?;
+        let slot = self.slot_containing(base)?;
+        let d = table[slot as usize];
+        (d != NO_DESCRIPTOR && self.slot_base(slot) == base && self.allocated.get(slot))
+            .then_some(d)
     }
 
     /// The block's identifier.

@@ -1,11 +1,12 @@
 //! The page-level heap: block acquisition, object allocation, sweeping.
 
+use crate::block::SlotFates;
 use crate::{
     Block, BlockId, BlockShape, FreeList, FreeListPolicy, HeapError, ObjRef, ObjectKind, SizeClass,
     GRANULE_BYTES,
 };
 use gc_vmspace::{Addr, AddressSpace, PageIdx, SegmentKind, SegmentSpec, PAGE_BYTES};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
 /// Flat page-index → block-id map covering the whole 2^20-page space.
@@ -13,7 +14,9 @@ use std::time::{Duration, Instant};
 struct PageMap {
     slots: Vec<u32>,
     /// Bumped on every mutation; [`PageResolveCache`] entries are valid
-    /// only for the epoch they were filled under.
+    /// only for the epoch they were filled under. Block ids are recycled,
+    /// so this is also what keeps a cached page → id entry from naming a
+    /// different block after its own was released and its id reused.
     epoch: u64,
 }
 
@@ -324,7 +327,13 @@ pub struct DescriptorId(u32);
 #[derive(Debug)]
 pub struct Heap {
     config: HeapConfig,
+    /// The block table, indexed by id; `None` marks a released block's
+    /// slot, whose id waits in `free_ids`.
     blocks: Vec<Option<Block>>,
+    /// Ids of released blocks, reused before the table grows, so its
+    /// length (and every whole-table walk: `clear_marks`, the sweeps) is
+    /// bounded by the peak live block count, not by every block ever made.
+    free_ids: Vec<u32>,
     /// Flat page → block map (4 MiB for the full 2^20-page space); flat
     /// indexing keeps the mark phase's candidate lookups cheap.
     page_map: PageMap,
@@ -385,12 +394,12 @@ pub struct Heap {
     bytes_since_collect: u64,
     objects_allocated_total: u64,
     descriptors: Vec<Descriptor>,
-    /// Object base address → descriptor, for typed objects only.
-    typed: HashMap<u32, DescriptorId>,
     /// Deferred-sweep queues for small blocks, indexed like `free_lists`:
     /// blocks whose free-list reconstruction the last lazy snapshot left to
     /// the allocator. Entries may be stale (block already swept via
-    /// `finish_sweep` or released); the per-block `pending` flag decides.
+    /// `finish_sweep`, or released and its id reused by a fresh block);
+    /// the per-block `pending` flag decides, since every snapshot clears
+    /// the queues and fresh blocks are never pending.
     pending_small: Vec<VecDeque<BlockId>>,
     /// Deferred-sweep queue for large (whole-page) blocks.
     pending_large: VecDeque<BlockId>,
@@ -414,24 +423,45 @@ fn fl_index(class: SizeClass, kind: ObjectKind) -> usize {
         }
 }
 
-/// Word-at-a-time survivor census of one block against the current mark
-/// bits: `(survivors, to-be-promoted)`. A slot survives if it is allocated
-/// and marked — or allocated and old during a minor sweep — and every
-/// survivor ends up old (tenured). This is the cheap half of a sweep; the
-/// lazy snapshot runs it so every census stays exact while the per-slot
-/// mutation work is deferred to the allocator.
-fn survivor_census(block: &Block, minor: bool) -> (u32, u32) {
-    let mut live = 0;
-    let mut promoted = 0;
-    let alloc_words = block.allocated.words();
-    let old_words = block.old.words();
-    for (i, (&alloc, &old)) in alloc_words.iter().zip(old_words).enumerate() {
-        let marked = block.marked.word(i);
-        let keep = alloc & (marked | if minor { old } else { 0 });
-        live += keep.count_ones();
-        promoted += (keep & !old).count_ones();
+/// The heap never maps the top page of the 32-bit space, so every block's
+/// one-past-the-end address, and [`Heap::hi`], stay representable.
+const HEAP_CEILING: u64 = (1 << 32) - PAGE_BYTES as u64;
+
+impl SweepStats {
+    /// Adds one block's slot fates, `obj_bytes` each.
+    fn tally(&mut self, fates: SlotFates, obj_bytes: u32) {
+        let ob = u64::from(obj_bytes);
+        self.objects_live += u64::from(fates.live);
+        self.bytes_live += u64::from(fates.live) * ob;
+        self.objects_freed += u64::from(fates.freed);
+        self.bytes_freed += u64::from(fates.freed) * ob;
+        self.objects_promoted += u64::from(fates.promoted);
+        self.bytes_promoted += u64::from(fates.promoted) * ob;
     }
-    (live, promoted)
+}
+
+/// Hands a swept small block's free slots to its free list in ascending
+/// order; the never-used tail (`>= bump`) stays behind the cursor unless
+/// another block already owns the cursor — only possible after a partial
+/// lazy drain forced a fresh block while this tail was still pending —
+/// in which case the tail is retired into the free list too.
+fn recycle_slots(block: &mut Block, free_lists: &mut [FreeList], cursors: &mut [Option<BlockId>]) {
+    let BlockShape::Small { class } = block.shape else {
+        return;
+    };
+    let fli = fl_index(class, block.kind);
+    if block.bump < block.slots() && cursors[fli].is_some() {
+        block.bump = block.slots();
+    }
+    for slot in block.allocated.iter_zeros() {
+        if slot >= block.bump {
+            break;
+        }
+        free_lists[fli].push(block.slot_base(slot));
+    }
+    if block.bump < block.slots() {
+        cursors[fli] = Some(block.id);
+    }
 }
 
 impl Heap {
@@ -449,6 +479,7 @@ impl Heap {
             heap_hi: heap_base,
             config,
             blocks: Vec::new(),
+            free_ids: Vec::new(),
             page_map: PageMap::new(),
             free_runs: BTreeMap::new(),
             quarantined: Vec::new(),
@@ -465,7 +496,6 @@ impl Heap {
             bytes_since_collect: 0,
             objects_allocated_total: 0,
             descriptors: Vec::new(),
-            typed: HashMap::new(),
             pending_small,
             pending_large: VecDeque::new(),
             pending_blocks: 0,
@@ -496,15 +526,15 @@ impl Heap {
         desc: DescriptorId,
         pred: PagePredicate<'_>,
     ) -> Result<Addr, HeapError> {
-        let addr = self.alloc(space, bytes, ObjectKind::Composite, pred)?;
-        self.typed.insert(addr.raw(), desc);
-        Ok(addr)
+        self.alloc_with(space, bytes, ObjectKind::Composite, Some(desc), pred)
     }
 
-    /// The descriptor of a typed object, if `base` was allocated typed.
+    /// The descriptor of a typed object, if `base` is the base of an
+    /// allocated slot whose object was allocated typed: a page lookup and
+    /// an index into the block's descriptor side table.
     pub fn descriptor_of(&self, base: Addr) -> Option<&Descriptor> {
-        let id = self.typed.get(&base.raw())?;
-        Some(&self.descriptors[id.0 as usize])
+        let block = self.block(self.page_map.get(base.page())?)?;
+        Some(&self.descriptors[block.descriptor_at(base)? as usize])
     }
 
     /// The heap configuration.
@@ -560,10 +590,23 @@ impl Heap {
         kind: ObjectKind,
         pred: PagePredicate<'_>,
     ) -> Result<Addr, HeapError> {
+        self.alloc_with(space, bytes, kind, None, pred)
+    }
+
+    /// [`Heap::alloc`], recording `desc` (typed) or resetting (untyped)
+    /// the slot's descriptor entry.
+    fn alloc_with(
+        &mut self,
+        space: &mut AddressSpace,
+        bytes: u32,
+        kind: ObjectKind,
+        desc: Option<DescriptorId>,
+        pred: PagePredicate<'_>,
+    ) -> Result<Addr, HeapError> {
         if bytes == 0 {
             return Err(HeapError::ZeroSized);
         }
-        match self.alloc_sized(space, bytes, kind, &mut *pred) {
+        let (addr, id, slot) = match self.alloc_sized(space, bytes, kind, &mut *pred) {
             Err(HeapError::OutOfMemory { .. }) if self.pending_blocks > 0 => {
                 // Unswept blocks may still hold the slots or pages this
                 // request needs; complete the deferred sweep before
@@ -572,7 +615,9 @@ impl Heap {
                 self.alloc_sized(space, bytes, kind, pred)
             }
             result => result,
-        }
+        }?;
+        self.block_mut(id).set_descriptor(slot, desc.map(|d| d.0));
+        Ok(addr)
     }
 
     fn alloc_sized(
@@ -581,7 +626,7 @@ impl Heap {
         bytes: u32,
         kind: ObjectKind,
         pred: PagePredicate<'_>,
-    ) -> Result<Addr, HeapError> {
+    ) -> Result<(Addr, BlockId, u32), HeapError> {
         match SizeClass::for_bytes(bytes) {
             Some(class) => self.alloc_small(space, class, kind, pred),
             None => self.alloc_large(space, bytes, kind, pred),
@@ -641,7 +686,7 @@ impl Heap {
         class: SizeClass,
         kind: ObjectKind,
         pred: PagePredicate<'_>,
-    ) -> Result<Addr, HeapError> {
+    ) -> Result<(Addr, BlockId, u32), HeapError> {
         let fli = fl_index(class, kind);
         if let Some((addr, id, slot, fresh)) = self.pop_small_slot(fli) {
             return self.finish_alloc(space, addr, id, slot, class.bytes(), fresh);
@@ -687,7 +732,7 @@ impl Heap {
                 pages_denied: denied,
             })?
         };
-        let id = BlockId(self.blocks.len() as u32);
+        let id = self.new_block_id();
         let mut block = Block::new_small(id, page.base(), class, kind);
         block.zeroed = self.config.bump_alloc && self.pages_clean(page, 1);
         self.page_map.set(page, id);
@@ -705,8 +750,7 @@ impl Heap {
                 self.free_lists[fli].push(block.slot_base(slot));
             }
         }
-        self.blocks.push(Some(block));
-        self.block_count += 1;
+        self.install_block(block);
         self.finish_alloc(space, addr, id, 0, class.bytes(), fresh)
     }
 
@@ -716,7 +760,7 @@ impl Heap {
         bytes: u32,
         kind: ObjectKind,
         pred: PagePredicate<'_>,
-    ) -> Result<Addr, HeapError> {
+    ) -> Result<(Addr, BlockId, u32), HeapError> {
         let obj_bytes = bytes.div_ceil(GRANULE_BYTES) * GRANULE_BYTES;
         let npages = obj_bytes.div_ceil(PAGE_BYTES);
         // Lazy-sweep slow path: sweeping pending large blocks releases the
@@ -738,7 +782,7 @@ impl Heap {
                 requested: bytes,
                 pages_denied: denied,
             })?;
-        let id = BlockId(self.blocks.len() as u32);
+        let id = self.new_block_id();
         let mut block = Block::new_large(id, first_page.base(), obj_bytes, kind);
         block.zeroed = self.config.bump_alloc && self.pages_clean(first_page, block.npages());
         for i in 0..block.npages() {
@@ -748,9 +792,25 @@ impl Heap {
         let addr = block.base();
         let fresh = block.zeroed;
         block.bump = 1;
-        self.blocks.push(Some(block));
-        self.block_count += 1;
+        self.install_block(block);
         self.finish_alloc(space, addr, id, 0, obj_bytes, fresh)
+    }
+
+    /// The id for a block about to be created: a released block's id when
+    /// one is free, else a new table slot. The caller must
+    /// [`install_block`](Self::install_block) under it.
+    fn new_block_id(&mut self) -> BlockId {
+        BlockId(self.free_ids.pop().unwrap_or_else(|| {
+            self.blocks.push(None);
+            self.blocks.len() as u32 - 1
+        }))
+    }
+
+    fn install_block(&mut self, block: Block) {
+        let slot = &mut self.blocks[block.id.0 as usize];
+        debug_assert!(slot.is_none(), "block id installed twice");
+        *slot = Some(block);
+        self.block_count += 1;
     }
 
     /// Books one allocated slot. The caller resolved `(id, slot)` already
@@ -766,7 +826,7 @@ impl Heap {
         slot: u32,
         obj_bytes: u32,
         fresh: bool,
-    ) -> Result<Addr, HeapError> {
+    ) -> Result<(Addr, BlockId, u32), HeapError> {
         let b = self.block_mut(id);
         b.allocated.set(slot);
         // Fresh objects are born young, whatever the slot's previous
@@ -779,7 +839,7 @@ impl Heap {
         self.bytes_allocated_total += u64::from(obj_bytes);
         self.bytes_since_collect += u64::from(obj_bytes);
         self.objects_allocated_total += 1;
-        Ok(addr)
+        Ok((addr, id, slot))
     }
 
     /// Is every page of `[first, first+n)` still in its never-written,
@@ -934,34 +994,32 @@ impl Heap {
         self.runs_insert(start, len);
     }
 
-    /// Maps one more expansion increment of heap pages. Returns `false`
-    /// when the heap limit has been reached.
+    /// Maps one more expansion increment of heap pages, clamped to the
+    /// heap limit and to the space left below [`HEAP_CEILING`]. Returns
+    /// `false` when fewer than `min_pages` pages can be mapped.
     fn expand(&mut self, space: &mut AddressSpace, min_pages: u32) -> Result<bool, HeapError> {
-        let limit_pages = (self.config.max_heap_bytes / u64::from(PAGE_BYTES)) as u32;
-        if self.mapped_pages >= limit_pages {
-            return Ok(false);
-        }
-        let want = min_pages
-            .max(self.config.growth_pages)
-            .min(limit_pages - self.mapped_pages);
-        if want < min_pages {
-            return Ok(false);
-        }
+        let limit_pages =
+            (self.config.max_heap_bytes / u64::from(PAGE_BYTES)).min(u64::from(u32::MAX)) as u32;
         // Find a gap: skip over any foreign segments sitting in the way.
         let mut base = self.next_expansion.align_up(PAGE_BYTES);
-        loop {
-            let len = u64::from(want) * u64::from(PAGE_BYTES);
-            if u64::from(base.raw()) + len > 1 << 32 {
+        let want = loop {
+            let room = HEAP_CEILING.saturating_sub(u64::from(base.raw())) / u64::from(PAGE_BYTES);
+            let want = min_pages
+                .max(self.config.growth_pages)
+                .min(limit_pages.saturating_sub(self.mapped_pages))
+                .min(room as u32);
+            if want < min_pages {
                 return Ok(false);
             }
+            let len = want * PAGE_BYTES;
             // Contiguous growth extends the previous heap segment in place,
             // so objects may span expansion increments.
             if let Some((seg, end)) = self.last_segment {
                 if end == base {
-                    match space.extend(seg, len as u32) {
+                    match space.extend(seg, len) {
                         Ok(()) => {
-                            self.last_segment = Some((seg, base + len as u32));
-                            break;
+                            self.last_segment = Some((seg, base + len));
+                            break want;
                         }
                         Err(gc_vmspace::VmError::Overlap { .. }) => {
                             // A foreign segment moved in right behind the
@@ -971,32 +1029,26 @@ impl Heap {
                     }
                 }
             }
-            match space.map(SegmentSpec::new(
-                "heap",
-                SegmentKind::Heap,
-                base,
-                len as u32,
-            )) {
+            match space.map(SegmentSpec::new("heap", SegmentKind::Heap, base, len)) {
                 Ok(seg) => {
-                    self.last_segment = Some((seg, base + len as u32));
-                    break;
+                    self.last_segment = Some((seg, base + len));
+                    break want;
                 }
                 Err(gc_vmspace::VmError::Overlap { .. }) => {
                     // Jump past whichever segment occupies some page in the
                     // window, then retry. Fall back to one page if the
-                    // occupant sits between our page-granular probes.
-                    let mut jumped = base + PAGE_BYTES;
-                    for i in 0..want {
-                        if let Some(seg) = space.find(base + i * PAGE_BYTES) {
-                            jumped = Addr::new(seg.end() as u32).align_up(PAGE_BYTES);
-                            break;
-                        }
-                    }
-                    base = jumped.max(base + PAGE_BYTES);
+                    // occupant sits between our page-granular probes. A
+                    // segment may end at 2^32, so clamp to the ceiling.
+                    let occupant_end = (0..want)
+                        .find_map(|i| space.find(base + i * PAGE_BYTES))
+                        .map_or(0, |seg| seg.end().min(HEAP_CEILING) as u32);
+                    base = Addr::new(occupant_end)
+                        .align_up(PAGE_BYTES)
+                        .max(base + PAGE_BYTES);
                 }
                 Err(e) => return Err(e.into()),
             }
-        }
+        };
         self.release_pages(base.page(), want);
         // `map`/`extend` zero-initialize, so the new pages start clean:
         // the first block carved from them may skip per-allocation fills.
@@ -1168,70 +1220,20 @@ impl Heap {
     }
 
     fn sweep_impl(&mut self, minor: bool) -> SweepStats {
-        let mut stats = SweepStats::default();
-        for fl in &mut self.free_lists {
-            fl.clear();
-        }
-        self.cursors.fill(None);
         // An eager sweep supersedes any outstanding lazy snapshot: it
         // visits every block with the same (fresh) mark bits the deferred
         // sweeps would have used.
-        for q in &mut self.pending_small {
-            q.clear();
-        }
-        self.pending_large.clear();
-        self.pending_blocks = 0;
+        self.reset_sweep_state();
+        let mut stats = SweepStats::default();
         let mut released: Vec<BlockId> = Vec::new();
         for block in self.blocks.iter_mut().flatten() {
             block.pending = false;
-            let mut live_here = 0u32;
-            for slot in 0..block.slots() {
-                if !block.allocated.get(slot) {
-                    continue;
-                }
-                let old = block.old.get(slot);
-                let marked = block.marked.get(slot);
-                if (minor && old) || marked {
-                    // Survivor. Marked survivors are tenured (sticky mark
-                    // bit): they have now survived a collection.
-                    live_here += 1;
-                    stats.objects_live += 1;
-                    stats.bytes_live += u64::from(block.obj_bytes());
-                    if marked && !old {
-                        block.old.set(slot);
-                        stats.objects_promoted += 1;
-                        stats.bytes_promoted += u64::from(block.obj_bytes());
-                    }
-                } else {
-                    block.allocated.clear(slot);
-                    block.old.clear(slot);
-                    self.typed.remove(&block.slot_base(slot).raw());
-                    stats.objects_freed += 1;
-                    stats.bytes_freed += u64::from(block.obj_bytes());
-                }
-            }
-            if live_here == 0 {
+            let fates = block.sweep_apply(minor);
+            stats.tally(fates, block.obj_bytes());
+            if fates.live == 0 {
                 released.push(block.id);
-            } else if let BlockShape::Small { class } = block.shape {
-                let fli = fl_index(class, block.kind);
-                if block.bump < block.slots() && self.cursors[fli].is_some() {
-                    // Another block already owns this list's cursor (only
-                    // possible after a budget-exhausted partial sweep
-                    // forced a fresh block while a tail was still
-                    // pending); retire this tail into the free list.
-                    block.bump = block.slots();
-                }
-                // Recycled slots go to the free list; the never-used tail
-                // (>= bump) stays behind the cursor.
-                for slot in block.allocated.iter_zeros() {
-                    if slot >= block.bump {
-                        break;
-                    }
-                    self.free_lists[fli].push(block.slot_base(slot));
-                }
-                if block.bump < block.slots() {
-                    self.cursors[fli] = Some(block.id);
-                }
+            } else {
+                recycle_slots(block, &mut self.free_lists, &mut self.cursors);
             }
         }
         for id in released {
@@ -1263,34 +1265,31 @@ impl Heap {
         self.sweep_lazy_impl(true)
     }
 
-    fn sweep_lazy_impl(&mut self, minor: bool) -> SweepStats {
-        let mut stats = SweepStats::default();
+    /// Clears every free list, cursor and pending queue ahead of a sweep
+    /// or snapshot, which rebuilds them. Cursors park too under a lazy
+    /// snapshot: a pending block's never-used tail must not serve
+    /// allocations before the block's deferred sweep realizes the snapshot
+    /// (a tail allocation would set an `allocated` bit the sweep would then
+    /// condemn). The deferred sweep re-establishes the cursor.
+    fn reset_sweep_state(&mut self) {
         for fl in &mut self.free_lists {
             fl.clear();
         }
-        // Cursors park too: a pending block's never-used tail must not
-        // serve allocations before the block's deferred sweep realizes the
-        // snapshot (a tail allocation would set an `allocated` bit the
-        // sweep would then condemn). The deferred sweep re-establishes the
-        // cursor.
         self.cursors.fill(None);
         for q in &mut self.pending_small {
             q.clear();
         }
         self.pending_large.clear();
         self.pending_blocks = 0;
+    }
+
+    fn sweep_lazy_impl(&mut self, minor: bool) -> SweepStats {
+        self.reset_sweep_state();
         self.pending_minor = minor;
         self.sweep_epoch += 1;
+        let mut stats = SweepStats::default();
         for block in self.blocks.iter_mut().flatten() {
-            let (live, promoted) = survivor_census(block, minor);
-            let freed = block.allocated.count_ones() - live;
-            let ob = u64::from(block.obj_bytes());
-            stats.objects_live += u64::from(live);
-            stats.bytes_live += u64::from(live) * ob;
-            stats.objects_freed += u64::from(freed);
-            stats.bytes_freed += u64::from(freed) * ob;
-            stats.objects_promoted += u64::from(promoted);
-            stats.bytes_promoted += u64::from(promoted) * ob;
+            stats.tally(block.sweep_census(minor), block.obj_bytes());
             block.pending = true;
             match block.shape {
                 BlockShape::Small { class } => {
@@ -1310,73 +1309,30 @@ impl Heap {
     /// releases it entirely if nothing survived. Returns `false` for stale
     /// queue entries (block already swept or released).
     fn sweep_pending_block(&mut self, id: BlockId) -> bool {
-        let idx = id.0 as usize;
-        let minor = self.pending_minor;
-        let mut freed = 0u32;
-        let mut promoted = 0u32;
-        let mut live_here = 0u32;
-        let (ob, small) = {
-            let Some(block) = self.blocks.get_mut(idx).and_then(Option::as_mut) else {
-                return false;
-            };
-            if !block.pending {
-                return false;
-            }
-            block.pending = false;
-            for slot in 0..block.slots() {
-                if !block.allocated.get(slot) {
-                    continue;
-                }
-                let old = block.old.get(slot);
-                let marked = block.marked.get(slot);
-                if (minor && old) || marked {
-                    live_here += 1;
-                    if marked && !old {
-                        block.old.set(slot);
-                        promoted += 1;
-                    }
-                } else {
-                    block.allocated.clear(slot);
-                    block.old.clear(slot);
-                    self.typed.remove(&block.slot_base(slot).raw());
-                    freed += 1;
-                }
-            }
-            let small = match block.shape {
-                BlockShape::Small { class } => Some((class, block.kind)),
-                BlockShape::Large { .. } => None,
-            };
-            (u64::from(block.obj_bytes()), small)
+        let Some(block) = self.blocks.get_mut(id.0 as usize).and_then(Option::as_mut) else {
+            return false;
         };
+        if !block.pending {
+            return false;
+        }
+        block.pending = false;
+        let fates = block.sweep_apply(self.pending_minor);
+        let ob = u64::from(block.obj_bytes());
+        if fates.live > 0 {
+            recycle_slots(block, &mut self.free_lists, &mut self.cursors);
+        }
         // `bytes_live` was already re-based by the snapshot; only the
         // realized-work totals move here.
         self.pending_blocks -= 1;
-        self.lazy_totals.blocks_swept += 1;
-        self.lazy_totals.objects_freed += u64::from(freed);
-        self.lazy_totals.bytes_freed += u64::from(freed) * ob;
-        self.lazy_totals.objects_promoted += u64::from(promoted);
-        self.lazy_totals.bytes_promoted += u64::from(promoted) * ob;
-        if live_here == 0 {
+        let totals = &mut self.lazy_totals;
+        totals.blocks_swept += 1;
+        totals.objects_freed += u64::from(fates.freed);
+        totals.bytes_freed += u64::from(fates.freed) * ob;
+        totals.objects_promoted += u64::from(fates.promoted);
+        totals.bytes_promoted += u64::from(fates.promoted) * ob;
+        if fates.live == 0 {
             self.release_block(id);
             self.lazy_totals.blocks_released += 1;
-        } else if let Some((class, kind)) = small {
-            let fli = fl_index(class, kind);
-            let block = self.blocks[idx].as_mut().expect("survivors keep the block");
-            if block.bump < block.slots() && self.cursors[fli].is_some() {
-                // A block created since the snapshot owns the cursor;
-                // retire this tail into the free list instead.
-                block.bump = block.slots();
-            }
-            let bump = block.bump;
-            for slot in block.allocated.iter_zeros() {
-                if slot >= bump {
-                    break;
-                }
-                self.free_lists[fli].push(block.slot_base(slot));
-            }
-            if bump < block.slots() {
-                self.cursors[fli] = Some(id);
-            }
         }
         true
     }
@@ -1530,10 +1486,25 @@ impl Heap {
         (young, old)
     }
 
+    /// Releases a block and frees its id for the next block created.
+    ///
+    /// Reusing the id is safe for every holder of a block id:
+    /// - [`PageResolveCache`]: clearing the block's pages (and later
+    ///   mapping the id's new block) bumps the page-map epoch, so a cache
+    ///   filled before the release flushes instead of resolving the old
+    ///   page to the new block.
+    /// - The lazy-sweep queues: a stale entry naming the reused id finds a
+    ///   fresh block, which is never pending, and is skipped.
+    /// - [`ObjRef`]s on a collector's mark stack: blocks are released only
+    ///   by sweeps and explicit frees, and the collector runs neither while
+    ///   a mark stack holds references — it completes any deferred sweep
+    ///   before a cycle starts, and allocation during an incremental cycle
+    ///   finds nothing pending to sweep.
     fn release_block(&mut self, id: BlockId) {
         let block = self.blocks[id.0 as usize]
             .take()
             .expect("released block is live");
+        self.free_ids.push(id.0);
         self.block_count -= 1;
         for i in 0..block.npages() {
             self.page_map
@@ -1592,7 +1563,6 @@ impl Heap {
             (b.obj_bytes(), b.is_unused(), small)
         };
         self.bytes_live -= u64::from(obj_bytes);
-        self.typed.remove(&addr.raw());
         if unused {
             self.release_block(block);
         } else if let Some((class, kind)) = small {
@@ -1601,7 +1571,8 @@ impl Heap {
         Ok(())
     }
 
-    /// Iterates over live blocks in id order.
+    /// Iterates over live blocks in id order. Ids are recycled, so this is
+    /// neither creation nor address order.
     pub fn blocks(&self) -> impl Iterator<Item = &Block> + '_ {
         self.blocks.iter().flatten()
     }
@@ -1629,8 +1600,7 @@ impl Heap {
         if !block.pending {
             return block.live_objects();
         }
-        let (live, _) = survivor_census(block, self.pending_minor);
-        live
+        block.sweep_census(self.pending_minor).live
     }
 
     /// Marks the start of a collection cycle for allocation-rate
@@ -1757,6 +1727,9 @@ pub struct SizeClassCensus {
 pub fn accept_all(_page: PageIdx, _use_: PageUse) -> bool {
     true
 }
+
+#[cfg(test)]
+mod block_table_tests;
 
 #[cfg(test)]
 mod tests {

@@ -1,9 +1,12 @@
 //! Property-based tests for the heap substrate's structural invariants.
 
-use gc_heap::{accept_all, BlockShape, ExplicitHeap, FreeListPolicy, Heap, HeapConfig, ObjectKind};
+use gc_heap::{
+    accept_all, BlockShape, Descriptor, ExplicitHeap, FreeListPolicy, Heap, HeapConfig, ObjectKind,
+    SweepStats,
+};
 use gc_vmspace::{Addr, AddressSpace, Endian, PAGE_BYTES};
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 fn heap(policy: FreeListPolicy) -> (AddressSpace, Heap) {
     let space = AddressSpace::new(Endian::Big);
@@ -73,6 +76,67 @@ fn check_lazy_census_consistency(heap: &Heap) {
         .sum();
     assert_eq!(census_count, walk_count);
 }
+
+/// One block's allocation and old bits, slot by slot.
+#[derive(Clone, PartialEq, Eq, Debug)]
+struct SlotBits {
+    allocated: Vec<bool>,
+    old: Vec<bool>,
+}
+
+/// What a sweep must leave behind: its counts, and each block's bits keyed
+/// by base address (`None` for a block the sweep releases).
+#[derive(Debug, Default)]
+struct SweepOutcome {
+    freed: u64,
+    live: u64,
+    promoted: u64,
+    blocks: BTreeMap<u32, Option<SlotBits>>,
+}
+
+/// The slot-at-a-time sweep loop the word-at-a-time kernel replaced, kept
+/// as the reference: a slot survives if it is allocated and marked, or
+/// allocated and old during a minor sweep; survivors become old; freed
+/// slots lose their allocation and old bits; a block with no survivor is
+/// released. Reads the heap only through public per-slot accessors.
+fn reference_sweep(heap: &Heap, minor: bool) -> SweepOutcome {
+    let mut out = SweepOutcome::default();
+    for block in heap.blocks() {
+        let n = block.slots();
+        let mut bits = SlotBits {
+            allocated: (0..n).map(|s| block.is_allocated(s)).collect(),
+            old: (0..n).map(|s| block.is_old(s)).collect(),
+        };
+        let mut live_here = 0;
+        for slot in 0..n {
+            if !block.is_allocated(slot) {
+                continue;
+            }
+            let old = block.is_old(slot);
+            let marked = block.is_marked(slot);
+            if (minor && old) || marked {
+                live_here += 1;
+                if marked && !old {
+                    bits.old[slot as usize] = true;
+                    out.promoted += 1;
+                }
+            } else {
+                bits.allocated[slot as usize] = false;
+                bits.old[slot as usize] = false;
+                out.freed += 1;
+            }
+        }
+        out.live += live_here;
+        out.blocks
+            .insert(block.base().raw(), (live_here > 0).then_some(bits));
+    }
+    out
+}
+
+/// Object sizes for the kernel oracle: slot counts that are multiples of
+/// 64 (8 B: 512) and ones that are not (12 B: 341, 24 B: 170, 40 B: 102,
+/// 2048 B: 2), plus large objects.
+const ORACLE_SIZES: [u32; 8] = [8, 12, 24, 40, 200, 2048, 3000, 9000];
 
 /// An operation in a random allocator trace.
 #[derive(Debug, Clone)]
@@ -410,6 +474,117 @@ proptest! {
         bumpy.finish_sweep();
         plain.finish_sweep();
         prop_assert_eq!(bumpy.stats(), plain.stats(), "settled accounting diverged");
+    }
+
+    /// The word-at-a-time sweep kernel decides exactly what the old
+    /// slot-at-a-time loop decided: the same freed, live and promoted
+    /// counts and the same allocation and old bits in every block, for
+    /// full and minor sweeps, eager and lazy, across size classes whose
+    /// slot count is not a multiple of 64. Typed and untyped objects reuse
+    /// each other's slots, and `descriptor_of` must name exactly the
+    /// descriptor of each slot's current occupant.
+    #[test]
+    fn sweep_kernel_matches_slot_at_a_time_reference(
+        rounds in proptest::collection::vec(
+            (
+                proptest::collection::vec((0usize..ORACLE_SIZES.len(), 0u8..4), 1..80),
+                any::<u64>(),
+                any::<bool>(),
+            ),
+            1..5,
+        ),
+        lazy: bool,
+    ) {
+        let mut space = AddressSpace::new(Endian::Big);
+        let mut heap = Heap::new(HeapConfig {
+            heap_base: Addr::new(0x10_0000),
+            max_heap_bytes: 64 << 20,
+            growth_pages: 16,
+            ..HeapConfig::default()
+        });
+        let descs = [
+            Descriptor::with_pointers_at(2, &[0]),
+            Descriptor::with_pointers_at(3, &[1, 2]),
+        ];
+        let ids = descs.clone().map(|d| heap.register_descriptor(d));
+        // Live object base → the descriptor it was allocated with.
+        let mut model: BTreeMap<u32, Option<usize>> = BTreeMap::new();
+        let mut freed_bases: Vec<u32> = Vec::new();
+        for (allocs, mark_seed, minor) in rounds {
+            for (size, how) in allocs {
+                let bytes = ORACLE_SIZES[size];
+                // 0, 1: typed with that descriptor; 2: composite; 3: atomic.
+                let addr = match how {
+                    0 | 1 => heap.alloc_typed(&mut space, bytes, ids[how as usize], &mut accept_all),
+                    2 => heap.alloc(&mut space, bytes, ObjectKind::Composite, &mut accept_all),
+                    _ => heap.alloc(&mut space, bytes, ObjectKind::Atomic, &mut accept_all),
+                }
+                .unwrap();
+                model.insert(addr.raw(), (how < 2).then_some(how as usize));
+            }
+            heap.clear_marks();
+            for (i, &base) in model.keys().enumerate() {
+                if ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ mark_seed).count_ones().is_multiple_of(2) {
+                    let obj = heap.object_containing(Addr::new(base)).expect("tracked object");
+                    heap.set_marked(obj);
+                }
+            }
+            let want = reference_sweep(&heap, minor);
+            let stats: SweepStats = match (lazy, minor) {
+                (false, false) => heap.sweep(),
+                (false, true) => heap.sweep_young(),
+                (true, false) => heap.sweep_lazy(),
+                (true, true) => heap.sweep_young_lazy(),
+            };
+            prop_assert_eq!(
+                (stats.objects_freed, stats.objects_live, stats.objects_promoted),
+                (want.freed, want.live, want.promoted)
+            );
+            if lazy {
+                let before = heap.lazy_sweep_totals();
+                heap.finish_sweep();
+                let after = heap.lazy_sweep_totals();
+                prop_assert_eq!(after.objects_freed - before.objects_freed, want.freed);
+                prop_assert_eq!(after.objects_promoted - before.objects_promoted, want.promoted);
+            }
+            let got: BTreeMap<u32, SlotBits> = heap
+                .blocks()
+                .map(|b| {
+                    let n = b.slots();
+                    let bits = SlotBits {
+                        allocated: (0..n).map(|s| b.is_allocated(s)).collect(),
+                        old: (0..n).map(|s| b.is_old(s)).collect(),
+                    };
+                    (b.base().raw(), bits)
+                })
+                .collect();
+            let kept: BTreeMap<u32, SlotBits> = want
+                .blocks
+                .into_iter()
+                .filter_map(|(base, bits)| Some((base, bits?)))
+                .collect();
+            prop_assert_eq!(got, kept, "post-sweep allocation/old bits");
+            model.retain(|&base, _| {
+                let live = heap.object_containing(Addr::new(base)).is_some();
+                if !live {
+                    freed_bases.push(base);
+                }
+                live
+            });
+            // Descriptors follow each slot's current occupant: every slot
+            // of every block, and every freed object base.
+            for block in heap.blocks() {
+                for slot in 0..block.slots() {
+                    let base = block.slot_base(slot).raw();
+                    let expected = model.get(&base).copied().flatten().map(|d| &descs[d]);
+                    prop_assert_eq!(heap.descriptor_of(Addr::new(base)), expected);
+                }
+            }
+            for &base in &freed_bases {
+                let expected = model.get(&base).copied().flatten().map(|d| &descs[d]);
+                prop_assert_eq!(heap.descriptor_of(Addr::new(base)), expected);
+            }
+        }
     }
 
     /// free + realloc round trips: the explicit heap recycles without
