@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gc_core::{Collector, GcConfig};
 use gc_heap::{HeapConfig, ObjectKind};
 use gc_vmspace::{Addr, AddressSpace, Endian, SegmentKind, SegmentSpec};
+use std::collections::VecDeque;
 
 fn tree_collector(nodes: u32) -> Collector {
     let mut space = AddressSpace::new(Endian::Big);
@@ -33,9 +34,11 @@ fn tree_collector(nodes: u32) -> Collector {
     gc.space_mut()
         .write_u32(Addr::new(0x1_0000), root.raw())
         .expect("mapped");
-    let mut frontier = vec![root];
+    // Children join at the front and parents leave from the back: a FIFO
+    // queue, so the tree grows breadth-first.
+    let mut frontier = VecDeque::from([root]);
     let mut count = 1;
-    'grow: while let Some(parent) = frontier.pop() {
+    'grow: while let Some(parent) = frontier.pop_back() {
         for off in [0u32, 4] {
             if count >= nodes {
                 break 'grow;
@@ -44,7 +47,7 @@ fn tree_collector(nodes: u32) -> Collector {
             gc.space_mut()
                 .write_u32(parent + off, child.raw())
                 .expect("mapped");
-            frontier.insert(0, child);
+            frontier.push_front(child);
             count += 1;
         }
     }

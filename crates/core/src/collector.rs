@@ -590,9 +590,7 @@ impl Collector {
                 })
             };
             for &addr in &doomed {
-                if let Some(obj) = marker.heap().object_containing(addr) {
-                    marker.mark_object(obj);
-                }
+                marker.mark_object(addr);
             }
             phases.finalize = t_phase.elapsed();
             finalizers_ready = doomed.len() as u32;
@@ -797,9 +795,7 @@ impl Collector {
                 })
             };
             for &addr in &doomed {
-                if let Some(obj) = marker.heap().object_containing(addr) {
-                    marker.mark_object(obj);
-                }
+                marker.mark_object(addr);
             }
             acc.merge(marker.outcome());
             phases.finalize = t_phase.elapsed();

@@ -3,6 +3,7 @@
 use crate::error::GcError;
 use crate::telemetry::SharedObserver;
 use gc_heap::HeapConfig;
+use gc_vmspace::{Addr, PAGE_BYTES};
 use std::fmt;
 
 /// How candidate pointers into object interiors are treated.
@@ -24,6 +25,18 @@ pub enum PointerPolicy {
     /// Only exact object base addresses retain (a fully type-accurate heap
     /// would allow this; closest to Bartlett-style collectors).
     BaseOnly,
+}
+
+impl PointerPolicy {
+    /// Whether a candidate `addr` inside the object at `base` retains it.
+    #[inline]
+    pub(crate) fn accepts(self, addr: Addr, base: Addr) -> bool {
+        match self {
+            PointerPolicy::AllInterior => true,
+            PointerPolicy::FirstPage => addr.offset_from(base) < PAGE_BYTES,
+            PointerPolicy::BaseOnly => addr == base,
+        }
+    }
 }
 
 impl fmt::Display for PointerPolicy {

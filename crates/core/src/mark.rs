@@ -20,8 +20,8 @@
 //! "could conceivably become valid object addresses as a result of later
 //! allocation".
 
-use crate::{Blacklist, GcConfig, PointerPolicy, RootClass};
-use gc_heap::{Heap, ObjRef, ObjectKind, PageResolveCache};
+use crate::{Blacklist, GcConfig, RootClass};
+use gc_heap::{Heap, MarkBit, MarkHit, ObjRef, ObjectKind, PageResolveCache};
 use gc_vmspace::{Addr, AddressSpace, Endian, Segment, SegmentHint, PAGE_BYTES};
 
 /// Counters produced by one mark phase.
@@ -70,7 +70,9 @@ impl MarkOutcome {
 ///   [`Descriptor`](gc_heap::Descriptor) has only its declared pointer
 ///   offsets read (the "less conservative" end of the paper's spectrum);
 ///   its data words can never be misidentified as pointers, on *any* path
-///   (dirty-page rescans included);
+///   (dirty-page rescans included). The descriptor is read through the
+///   object's block ([`Heap::descriptor_of_obj`]), so an untyped object
+///   costs one field test and no page lookup;
 /// * the short-object guard — objects under one word (`bytes < 4`) scan
 ///   zero words, typed or not;
 /// * the early stop — descriptor offsets ascend (guaranteed by
@@ -85,7 +87,10 @@ impl MarkOutcome {
 /// rather than the address space's shared one-entry cache: each scan loop
 /// (the serial marker, every parallel worker) owns a private hint, so
 /// concurrent scans cannot evict each other's cached segment.
-#[inline]
+///
+/// Always inlined: a call per scanned object measurably slows the drain
+/// loops of Program T, whose objects are one word each.
+#[inline(always)]
 pub(crate) fn scan_object_fields(
     space: &AddressSpace,
     heap: &Heap,
@@ -101,7 +106,7 @@ pub(crate) fn scan_object_fields(
     if bytes.len() < 4 {
         return 0;
     }
-    if let Some(desc) = heap.descriptor_of(obj.base) {
+    if let Some(desc) = heap.descriptor_of_obj(obj) {
         let mut words = 0u64;
         for off in desc.pointer_offsets() {
             let byte_off = (off as usize) * 4;
@@ -125,12 +130,15 @@ pub(crate) fn scan_object_fields(
 /// One mark phase over a frozen address space.
 ///
 /// The heap is held by shared reference: marking's only heap write is the
-/// mark bit, set through
-/// [`set_marked_single`](Heap::set_marked_single) (the non-atomic
-/// shared-reference path — exactly equivalent to `&mut` marking while one
-/// thread marks, which is always the case here). That is what lets the
-/// scan loops borrow descriptors and page iterators straight from the heap
-/// with no per-object allocation.
+/// mark bit, which the heap's mark kernel ([`Heap::mark_candidate`]) sets
+/// with a plain load and store ([`MarkBit::Single`] — exactly equivalent to
+/// `&mut` marking while one thread marks, which is always the case here).
+/// That is what lets the scan loops borrow descriptors and page iterators
+/// straight from the heap with no per-object allocation.
+///
+/// Every candidate — roots, the drains, dirty-page rescans — goes through
+/// [`consider`](Marker::consider), a thin wrapper over the kernel that
+/// keeps only the counters and the blacklist.
 pub(crate) struct Marker<'a> {
     space: &'a AddressSpace,
     heap: &'a Heap,
@@ -257,22 +265,15 @@ impl<'a> Marker<'a> {
         only_old: bool,
         drain: bool,
     ) {
-        let (space, heap, endian) = (self.space, self.heap, self.endian);
-        let stride = self.config.scan_alignment.stride() as usize;
+        let heap = self.heap;
         for page in pages {
             for obj in heap.objects_on_page(page) {
-                if obj.kind != ObjectKind::Composite || (only_old && !heap.is_old(obj)) {
-                    continue;
+                if obj.kind == ObjectKind::Composite && (!only_old || heap.is_old(obj)) {
+                    self.scan(obj);
                 }
-                let mut hint = self.hint;
-                let words = scan_object_fields(space, heap, endian, stride, obj, &mut hint, |v| {
-                    self.consider(v, RootClass::Heap);
-                });
-                self.hint = hint;
-                self.out.heap_words += words;
             }
             if drain {
-                self.drain();
+                self.drain_all();
             }
         }
     }
@@ -282,7 +283,7 @@ impl<'a> Marker<'a> {
         let space = self.space;
         for seg in space.roots() {
             self.scan_root_segment(seg);
-            self.drain();
+            self.drain_all();
         }
     }
 
@@ -299,7 +300,9 @@ impl<'a> Marker<'a> {
     /// Drains the mark stack to empty, tracing everything reachable from
     /// the objects currently on it.
     pub(crate) fn drain_all(&mut self) {
-        self.drain();
+        while let Some(obj) = self.stack.pop() {
+            self.scan(obj);
+        }
     }
 
     /// Seeds the mark stack (resuming an incremental cycle).
@@ -315,20 +318,11 @@ impl<'a> Marker<'a> {
     /// Traces up to `budget` objects off the mark stack; returns `true`
     /// when the stack is empty (tracing complete).
     pub(crate) fn drain_budget(&mut self, budget: u32) -> bool {
-        let (space, heap, endian) = (self.space, self.heap, self.endian);
-        let stride = self.config.scan_alignment.stride() as usize;
-        let mut traced = 0;
-        while traced < budget {
+        for _ in 0..budget {
             let Some(obj) = self.stack.pop() else {
                 return true;
             };
-            traced += 1;
-            let mut hint = self.hint;
-            let words = scan_object_fields(space, heap, endian, stride, obj, &mut hint, |v| {
-                self.consider(v, RootClass::Heap);
-            });
-            self.hint = hint;
-            self.out.heap_words += words;
+            self.scan(obj);
         }
         self.stack.is_empty()
     }
@@ -338,11 +332,17 @@ impl<'a> Marker<'a> {
         self.heap
     }
 
-    /// Marks one object and everything reachable from it (used to resurrect
-    /// finalizable objects).
-    pub(crate) fn mark_object(&mut self, obj: ObjRef) {
-        self.mark_resolved(obj, RootClass::Heap);
-        self.drain();
+    /// Marks the live object containing `addr` and everything reachable
+    /// from it (used to resurrect finalizable objects). Not a candidate:
+    /// no pointer policy, no resolve cache and no candidate counters.
+    pub(crate) fn mark_object(&mut self, addr: Addr) {
+        let hit = self
+            .heap
+            .mark_candidate(addr, None, self.minor, |_| true, MarkBit::Single);
+        if let MarkHit::Newly(obj) = hit {
+            self.push_marked(obj);
+        }
+        self.drain_all();
     }
 
     fn scan_root_segment(&mut self, seg: &'a Segment) {
@@ -368,7 +368,8 @@ impl<'a> Marker<'a> {
         }
     }
 
-    /// Figure 2's `mark(p)` for a single candidate word.
+    /// Figure 2's `mark(p)` for a single candidate word: the heap's mark
+    /// kernel decides; this wrapper counts and blacklists.
     #[inline]
     fn consider(&mut self, value: u32, source: RootClass) {
         let v = u64::from(value);
@@ -377,12 +378,16 @@ impl<'a> Marker<'a> {
         }
         self.out.candidates_in_range += 1;
         let addr = Addr::new(value);
-        match self.resolve(addr) {
-            Some(obj) => {
-                self.out.valid_pointers += 1;
-                self.mark_resolved(obj, source);
-            }
-            None => {
+        let policy = self.config.pointer_policy;
+        let accept = |base| policy.accepts(addr, base);
+        match self.heap.mark_candidate(
+            addr,
+            self.cache.as_mut(),
+            self.minor,
+            accept,
+            MarkBit::Single,
+        ) {
+            MarkHit::Invalid => {
                 // p is not a valid object address but is in the vicinity of
                 // the heap: blacklist it.
                 self.out.false_refs_near_heap += 1;
@@ -390,51 +395,33 @@ impl<'a> Marker<'a> {
                     self.blacklist.note_false_ref(addr.page(), source);
                 }
             }
-        }
-    }
-
-    fn mark_resolved(&mut self, obj: ObjRef, _source: RootClass) {
-        // In minor mode the old generation is a boundary: old objects are
-        // kept by the sweep regardless, and their outgoing pointers are
-        // covered by the dirty-card scan.
-        if self.minor && self.heap.is_old(obj) {
-            return;
-        }
-        // One thread marks here, so the non-atomic shared-reference path
-        // is exactly `set_marked` without needing the heap mutably.
-        if self.heap.set_marked_single(obj) {
-            self.out.objects_marked += 1;
-            self.out.bytes_marked += u64::from(obj.bytes);
-            if obj.kind == ObjectKind::Composite {
-                self.stack.push(obj);
+            MarkHit::Valid => self.out.valid_pointers += 1,
+            MarkHit::Newly(obj) => {
+                self.out.valid_pointers += 1;
+                self.push_marked(obj);
             }
         }
     }
 
-    /// Applies the pointer policy to an interior candidate.
-    fn resolve(&mut self, addr: Addr) -> Option<ObjRef> {
-        let obj = match &mut self.cache {
-            Some(cache) => self.heap.object_containing_cached(addr, cache)?,
-            None => self.heap.object_containing(addr)?,
-        };
-        let ok = match self.config.pointer_policy {
-            PointerPolicy::AllInterior => true,
-            PointerPolicy::FirstPage => addr.offset_from(obj.base) < PAGE_BYTES,
-            PointerPolicy::BaseOnly => addr == obj.base,
-        };
-        ok.then_some(obj)
+    /// Counts an object the kernel newly marked and queues it for scanning.
+    fn push_marked(&mut self, obj: ObjRef) {
+        self.out.objects_marked += 1;
+        self.out.bytes_marked += u64::from(obj.bytes);
+        if obj.kind == ObjectKind::Composite {
+            self.stack.push(obj);
+        }
     }
 
-    fn drain(&mut self) {
+    /// Scans one marked object's fields, considering each candidate word.
+    #[inline]
+    fn scan(&mut self, obj: ObjRef) {
         let (space, heap, endian) = (self.space, self.heap, self.endian);
         let stride = self.config.scan_alignment.stride() as usize;
-        while let Some(obj) = self.stack.pop() {
-            let mut hint = self.hint;
-            let words = scan_object_fields(space, heap, endian, stride, obj, &mut hint, |v| {
-                self.consider(v, RootClass::Heap);
-            });
-            self.hint = hint;
-            self.out.heap_words += words;
-        }
+        let mut hint = self.hint;
+        let words = scan_object_fields(space, heap, endian, stride, obj, &mut hint, |v| {
+            self.consider(v, RootClass::Heap);
+        });
+        self.hint = hint;
+        self.out.heap_words += words;
     }
 }

@@ -5,9 +5,10 @@
 //! atomic test-and-set of a mark bit — so a parallel drain can be made
 //! *bit-identical* to the serial one:
 //!
-//! * Each object's mark bit transitions 0→1 exactly once
-//!   ([`Heap::set_marked_shared`] returns `true` to exactly one racing
-//!   worker), so `objects_marked`/`bytes_marked` totals match serial.
+//! * Each object's mark bit transitions 0→1 exactly once (the heap's mark
+//!   kernel, [`Heap::mark_candidate`] with [`MarkBit::Atomic`], answers
+//!   `Newly` to exactly one racing worker), so `objects_marked`/
+//!   `bytes_marked` totals match serial.
 //! * Each marked composite object is scanned exactly once (only the
 //!   winning worker pushes it), so `heap_words`, `candidates_in_range`,
 //!   `valid_pointers` and `false_refs_near_heap` totals match serial.
@@ -34,8 +35,8 @@ use crate::mark::{scan_object_fields, MarkOutcome};
 use crate::stats::MarkWorkerStats;
 use crate::worksteal::{InFlight, StealDeque};
 use crate::{GcConfig, PointerPolicy};
-use gc_heap::{Heap, ObjRef, ObjectKind, PageResolveCache};
-use gc_vmspace::{Addr, AddressSpace, Endian, SegmentHint, PAGE_BYTES};
+use gc_heap::{Heap, MarkBit, MarkHit, ObjRef, ObjectKind, PageResolveCache};
+use gc_vmspace::{Addr, AddressSpace, Endian, SegmentHint};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -64,8 +65,9 @@ struct Shared<'a> {
     vic_lo: u64,
     vic_hi: u64,
     minor: bool,
-    /// One worker total: mark bits may skip the atomic read-modify-write.
-    single: bool,
+    /// [`MarkBit::Single`] with one worker total, which may skip the
+    /// atomic read-modify-write; [`MarkBit::Atomic`] otherwise.
+    bit: MarkBit,
     /// Each worker keeps a private [`PageResolveCache`] when enabled.
     resolve_cache: bool,
 }
@@ -114,7 +116,11 @@ pub(crate) fn par_drain(
         vic_lo: vicinity.0,
         vic_hi: vicinity.1,
         minor,
-        single: nworkers == 1,
+        bit: if nworkers == 1 {
+            MarkBit::Single
+        } else {
+            MarkBit::Atomic
+        },
         resolve_cache: config.resolve_cache,
     };
     let results: Vec<WorkerResult> = if nworkers == 1 {
@@ -274,9 +280,8 @@ fn worker_loop(
     res
 }
 
-/// The parallel twin of the serial marker's `drain` body for one object:
-/// the same shared scan kernel, with candidates fed to the racing
-/// `consider`.
+/// Scans one object with the shared scan kernel, feeding each candidate
+/// to this worker's [`consider`].
 fn scan_object(
     shared: &Shared<'_>,
     obj: ObjRef,
@@ -297,7 +302,9 @@ fn scan_object(
     res.out.heap_words += words;
 }
 
-/// Figure 2's `mark(p)`, racing against other workers on the mark bit.
+/// Figure 2's `mark(p)`, racing against other workers on the mark bit: the
+/// heap's mark kernel decides; this wrapper keeps the worker's counters and
+/// its blacklist sink.
 #[inline]
 fn consider(
     shared: &Shared<'_>,
@@ -312,49 +319,27 @@ fn consider(
     }
     res.out.candidates_in_range += 1;
     let addr = Addr::new(value);
-    match resolve(shared, addr, cache) {
-        Some(obj) => {
-            res.out.valid_pointers += 1;
-            if shared.minor && shared.heap.is_old(obj) {
-                return;
-            }
-            let newly = if shared.single {
-                shared.heap.set_marked_single(obj)
-            } else {
-                shared.heap.set_marked_shared(obj)
-            };
-            if newly {
-                res.out.objects_marked += 1;
-                res.out.bytes_marked += u64::from(obj.bytes);
-                if obj.kind == ObjectKind::Composite {
-                    local.push(obj);
-                }
-            }
-        }
-        None => {
+    let accept = |base| shared.policy.accepts(addr, base);
+    match shared
+        .heap
+        .mark_candidate(addr, cache.as_mut(), shared.minor, accept, shared.bit)
+    {
+        MarkHit::Invalid => {
             res.out.false_refs_near_heap += 1;
             if shared.blacklisting {
                 res.false_pages.push(addr.page().raw());
             }
         }
+        MarkHit::Valid => res.out.valid_pointers += 1,
+        MarkHit::Newly(obj) => {
+            res.out.valid_pointers += 1;
+            res.out.objects_marked += 1;
+            res.out.bytes_marked += u64::from(obj.bytes);
+            if obj.kind == ObjectKind::Composite {
+                local.push(obj);
+            }
+        }
     }
-}
-
-fn resolve(
-    shared: &Shared<'_>,
-    addr: Addr,
-    cache: &mut Option<PageResolveCache>,
-) -> Option<ObjRef> {
-    let obj = match cache {
-        Some(cache) => shared.heap.object_containing_cached(addr, cache)?,
-        None => shared.heap.object_containing(addr)?,
-    };
-    let ok = match shared.policy {
-        PointerPolicy::AllInterior => true,
-        PointerPolicy::FirstPage => addr.offset_from(obj.base) < PAGE_BYTES,
-        PointerPolicy::BaseOnly => addr == obj.base,
-    };
-    ok.then_some(obj)
 }
 
 #[cfg(test)]

@@ -49,7 +49,7 @@ impl Bitmap {
     /// # Panics
     ///
     /// Panics if `i >= len()`.
-    #[inline]
+    #[inline(always)]
     pub fn get(&self, i: u32) -> bool {
         assert!(i < self.nbits, "bit index {i} out of range {}", self.nbits);
         self.words[(i / 64) as usize] >> (i % 64) & 1 == 1

@@ -233,17 +233,24 @@ impl Block {
     }
 
     /// The descriptor index of the typed object allocated at `base`, if
-    /// any. Blocks that never held a typed object answer without any slot
-    /// arithmetic.
+    /// any.
     pub(crate) fn descriptor_at(&self, base: Addr) -> Option<u32> {
-        let table = self.descriptors.as_deref()?;
-        let slot = self.slot_containing(base)?;
-        let d = table[slot as usize];
-        (d != NO_DESCRIPTOR && self.slot_base(slot) == base && self.allocated.get(slot))
-            .then_some(d)
+        let slot = self
+            .slot_containing(base)
+            .filter(|&slot| self.slot_base(slot) == base)?;
+        self.descriptor_in(slot)
+    }
+
+    /// The descriptor index of the typed object allocated in `slot`, if
+    /// any. Blocks that never held a typed object answer from one field.
+    #[inline]
+    pub(crate) fn descriptor_in(&self, slot: u32) -> Option<u32> {
+        let d = self.descriptors.as_deref()?[slot as usize];
+        (d != NO_DESCRIPTOR && self.allocated.get(slot)).then_some(d)
     }
 
     /// The block's identifier.
+    #[inline]
     pub fn id(&self) -> BlockId {
         self.id
     }
@@ -259,6 +266,7 @@ impl Block {
     }
 
     /// Whether the block's objects may contain pointers.
+    #[inline]
     pub fn kind(&self) -> ObjectKind {
         self.kind
     }
@@ -269,6 +277,7 @@ impl Block {
     }
 
     /// Object size in bytes for every slot of this block.
+    #[inline]
     pub fn obj_bytes(&self) -> u32 {
         match self.shape {
             BlockShape::Small { class } => class.bytes(),
@@ -277,6 +286,7 @@ impl Block {
     }
 
     /// Number of object slots in the block.
+    #[inline]
     pub fn slots(&self) -> u32 {
         match self.shape {
             BlockShape::Small { class } => class.objects_per_page(),
@@ -294,9 +304,22 @@ impl Block {
     /// # Panics
     ///
     /// Panics if `index >= slots()`.
+    #[inline]
     pub fn slot_base(&self, index: u32) -> Addr {
         assert!(index < self.slots(), "slot index out of range");
         self.base + index * self.obj_bytes()
+    }
+
+    /// A reference to the object in slot `index`.
+    #[inline]
+    pub(crate) fn obj_ref(&self, index: u32) -> ObjRef {
+        ObjRef {
+            block: self.id,
+            index,
+            base: self.slot_base(index),
+            bytes: self.obj_bytes(),
+            kind: self.kind,
+        }
     }
 
     /// Maps an address to the slot whose extent contains it, if any.
@@ -304,6 +327,7 @@ impl Block {
     /// Returns `None` for addresses in the block's trailing waste (the
     /// unused remainder when the object size does not divide the page) or
     /// past a large object's granule-rounded end.
+    #[inline]
     pub fn slot_containing(&self, addr: Addr) -> Option<u32> {
         if addr < self.base {
             return None;

@@ -51,8 +51,9 @@ impl PageMap {
 /// two so the index is a mask.
 const RESOLVE_CACHE_ENTRIES: usize = 256;
 
-/// A small direct-mapped page → block cache for the mark phase's candidate
-/// resolution ([`Heap::object_containing_cached`]).
+/// A small direct-mapped page → block cache for the mark kernel's first
+/// step ([`Heap::mark_candidate`]), which every candidate of every mark
+/// path goes through.
 ///
 /// Candidate pointers cluster heavily by page — a block's objects are
 /// contiguous, and the mark stack drains neighbours together — so most
@@ -128,6 +129,29 @@ impl PageResolveCache {
         self.vals[slot] = id.map_or(PageMap::NONE, |b| b.0);
         id
     }
+}
+
+/// How [`Heap::mark_candidate`] sets a mark bit.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum MarkBit {
+    /// A plain load and store: exact only while one thread marks.
+    Single,
+    /// An atomic `fetch_or`: exactly one of several racing markers sees
+    /// the bit go from 0 to 1.
+    Atomic,
+}
+
+/// What [`Heap::mark_candidate`] made of a candidate address.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum MarkHit {
+    /// Not a valid object address: no live object contains it, or the
+    /// pointer policy rejected it.
+    Invalid,
+    /// A valid object address whose object was already marked, or is an
+    /// old-generation boundary of a minor collection.
+    Valid,
+    /// A valid object address whose object this call marked.
+    Newly(ObjRef),
 }
 
 /// How a candidate page would be used, passed to placement predicates.
@@ -535,6 +559,15 @@ impl Heap {
     pub fn descriptor_of(&self, base: Addr) -> Option<&Descriptor> {
         let block = self.block(self.page_map.get(base.page())?)?;
         Some(&self.descriptors[block.descriptor_at(base)? as usize])
+    }
+
+    /// The descriptor of a live typed object, read through `obj.block`:
+    /// the mark phase's object scan, which holds the `ObjRef` already,
+    /// does no page lookup and no slot arithmetic.
+    #[inline]
+    pub fn descriptor_of_obj(&self, obj: ObjRef) -> Option<&Descriptor> {
+        let d = self.block(obj.block)?.descriptor_in(obj.index)?;
+        Some(&self.descriptors[d as usize])
     }
 
     /// The heap configuration.
@@ -1066,6 +1099,7 @@ impl Heap {
     }
 
     /// The live block with the given id, if any.
+    #[inline]
     pub fn block(&self, id: BlockId) -> Option<&Block> {
         self.blocks.get(id.0 as usize)?.as_ref()
     }
@@ -1082,12 +1116,21 @@ impl Heap {
     /// unmarked-or-young) slots are already condemned — the deferred sweep
     /// only realizes the decision. This keeps lazy sweeping transparent:
     /// every liveness view agrees with what an eager sweep would have left.
-    #[inline]
+    #[inline(always)]
     fn slot_live(&self, block: &Block, slot: u32) -> bool {
         block.allocated.get(slot)
             && (!block.pending
                 || block.marked.get(slot)
                 || (self.pending_minor && block.old.get(slot)))
+    }
+
+    /// The live slot containing `addr` in block `id`, the block of
+    /// `addr`'s page.
+    #[inline(always)]
+    fn live_slot(&self, id: Option<BlockId>, addr: Addr) -> Option<(&Block, u32)> {
+        let block = self.block(id?)?;
+        let slot = block.slot_containing(addr)?;
+        self.slot_live(block, slot).then_some((block, slot))
     }
 
     /// Resolves an address to the live object whose extent contains it.
@@ -1096,42 +1139,47 @@ impl Heap {
     /// interior address resolves; the caller applies its interior-pointer
     /// policy using [`ObjRef::base`].
     pub fn object_containing(&self, addr: Addr) -> Option<ObjRef> {
-        let (block, slot) = self.slot_of(addr)?;
-        if !self.slot_live(block, slot) {
-            return None;
-        }
-        Some(ObjRef {
-            block: block.id(),
-            index: slot,
-            base: block.slot_base(slot),
-            bytes: block.obj_bytes(),
-            kind: block.kind(),
-        })
+        let (block, slot) = self.live_slot(self.page_map.get(addr.page()), addr)?;
+        Some(block.obj_ref(slot))
     }
 
-    /// [`object_containing`](Heap::object_containing) with the page → block
-    /// step served from `cache` — the mark phase's hot path. Semantically
-    /// identical to the uncached resolve for any cache state: stale entries
-    /// are detected by epoch and refilled (see [`PageResolveCache`]).
+    /// Figure 2's `mark(p)` for one candidate address, through a single
+    /// borrow of its block: page → block (from `cache` when given, else
+    /// the page map; the answer is the same for any cache state), the live
+    /// slot as [`object_containing`](Self::object_containing) finds it, the
+    /// caller's pointer policy `accept(base)`, the minor-mode boundary, and
+    /// the mark bit's test-and-set. In minor mode an old object (or any
+    /// survivor of a pending block, which the deferred sweep will tenure)
+    /// is valid but never marked.
     #[inline]
-    pub fn object_containing_cached(
+    pub fn mark_candidate(
         &self,
         addr: Addr,
-        cache: &mut PageResolveCache,
-    ) -> Option<ObjRef> {
-        let id = cache.block_for(addr.page(), &self.page_map)?;
-        let block = self.block(id)?;
-        let slot = block.slot_containing(addr)?;
-        if !self.slot_live(block, slot) {
-            return None;
+        cache: Option<&mut PageResolveCache>,
+        minor: bool,
+        accept: impl FnOnce(Addr) -> bool,
+        bit: MarkBit,
+    ) -> MarkHit {
+        let id = match cache {
+            Some(cache) => cache.block_for(addr.page(), &self.page_map),
+            None => self.page_map.get(addr.page()),
+        };
+        let live = self.live_slot(id, addr);
+        let Some((block, slot)) = live.filter(|&(b, slot)| accept(b.slot_base(slot))) else {
+            return MarkHit::Invalid;
+        };
+        if minor && (block.pending || block.old.get(slot)) {
+            return MarkHit::Valid;
         }
-        Some(ObjRef {
-            block: block.id(),
-            index: slot,
-            base: block.slot_base(slot),
-            bytes: block.obj_bytes(),
-            kind: block.kind(),
-        })
+        let newly = match bit {
+            MarkBit::Single => block.marked.set_relaxed(slot),
+            MarkBit::Atomic => block.marked.set_atomic(slot),
+        };
+        if newly {
+            MarkHit::Newly(block.obj_ref(slot))
+        } else {
+            MarkHit::Valid
+        }
     }
 
     /// Returns `true` if `addr` is the base address of a live object.
@@ -1154,40 +1202,6 @@ impl Heap {
             block.marked.set(obj.index);
             true
         }
-    }
-
-    /// Atomically sets the mark bit of an object through a shared reference.
-    /// Returns `true` iff this caller newly set it — across racing parallel
-    /// mark workers, exactly one receives `true` per object.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `obj` does not refer to a live block (an `ObjRef` is only
-    /// obtainable for live objects, and the heap is frozen during marking).
-    pub fn set_marked_shared(&self, obj: ObjRef) -> bool {
-        self.block(obj.block)
-            .expect("marking a live object")
-            .marked
-            .set_atomic(obj.index)
-    }
-
-    /// Sets the mark bit of an object through a shared reference without
-    /// an atomic read-modify-write. Returns `true` iff the bit was clear.
-    ///
-    /// Only equivalent to [`set_marked_shared`](Self::set_marked_shared)
-    /// while a single thread is marking — the mark drain uses it when it
-    /// runs with one worker, where the locked `fetch_or` would be pure
-    /// overhead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `obj` does not refer to a live block (an `ObjRef` is only
-    /// obtainable for live objects, and the heap is frozen during marking).
-    pub fn set_marked_single(&self, obj: ObjRef) -> bool {
-        self.block(obj.block)
-            .expect("marking a live object")
-            .marked
-            .set_relaxed(obj.index)
     }
 
     /// Clears every mark bit (start of a collection).
@@ -1444,13 +1458,7 @@ impl Heap {
                     .allocated
                     .iter_ones()
                     .filter(|&slot| self.slot_live(block, slot))
-                    .map(|slot| ObjRef {
-                        block: block.id(),
-                        index: slot,
-                        base: block.slot_base(slot),
-                        bytes: block.obj_bytes(),
-                        kind: block.kind(),
-                    })
+                    .map(|slot| block.obj_ref(slot))
             })
     }
 
@@ -1583,13 +1591,7 @@ impl Heap {
             b.allocated
                 .iter_ones()
                 .filter(move |&slot| self.slot_live(b, slot))
-                .map(move |slot| ObjRef {
-                    block: b.id(),
-                    index: slot,
-                    base: b.slot_base(slot),
-                    bytes: b.obj_bytes(),
-                    kind: b.kind(),
-                })
+                .map(move |slot| b.obj_ref(slot))
         })
     }
 
@@ -1726,6 +1728,18 @@ pub struct SizeClassCensus {
 /// disabled.
 pub fn accept_all(_page: PageIdx, _use_: PageUse) -> bool {
     true
+}
+
+/// The cached resolve the mark kernel does, for tests: every mark is
+/// cleared first, so a live object comes back as the one `Newly` marked.
+#[cfg(test)]
+fn resolve_cached(heap: &mut Heap, addr: Addr, cache: &mut PageResolveCache) -> Option<ObjRef> {
+    heap.clear_marks();
+    match heap.mark_candidate(addr, Some(cache), false, |_| true, MarkBit::Single) {
+        MarkHit::Newly(obj) => Some(obj),
+        MarkHit::Invalid => None,
+        MarkHit::Valid => unreachable!("marks were just cleared"),
+    }
 }
 
 #[cfg(test)]
@@ -1917,9 +1931,18 @@ mod tests {
             .unwrap();
         heap.clear_marks();
         let obj = heap.object_containing(a).unwrap();
-        assert!(heap.set_marked_shared(obj), "first shared mark wins");
-        assert!(!heap.set_marked_shared(obj), "already marked");
-        assert!(!heap.set_marked_single(obj), "single-worker path agrees");
+        let mark = |bit| heap.mark_candidate(a, None, false, |_| true, bit);
+        assert_eq!(
+            mark(MarkBit::Atomic),
+            MarkHit::Newly(obj),
+            "first shared mark wins"
+        );
+        assert_eq!(mark(MarkBit::Atomic), MarkHit::Valid, "already marked");
+        assert_eq!(
+            mark(MarkBit::Single),
+            MarkHit::Valid,
+            "single-worker path agrees"
+        );
         assert!(!heap.set_marked(obj), "exclusive path sees the shared mark");
         assert!(heap.is_marked(obj));
         let stats = heap.sweep();
@@ -2526,7 +2549,7 @@ mod quarantine_tests {
         for addr in probes {
             assert_eq!(
                 heap.object_containing(addr),
-                heap.object_containing_cached(addr, &mut cache),
+                resolve_cached(&mut heap, addr, &mut cache),
                 "cached resolution diverged at {addr}"
             );
         }
@@ -2538,7 +2561,7 @@ mod quarantine_tests {
         for addr in probes {
             assert_eq!(
                 heap.object_containing(addr),
-                heap.object_containing_cached(addr, &mut cache)
+                resolve_cached(&mut heap, addr, &mut cache)
             );
         }
         assert_eq!(
@@ -2556,15 +2579,15 @@ mod quarantine_tests {
             .alloc(&mut space, 8, ObjectKind::Composite, &mut accept_all)
             .unwrap();
         let mut cache = PageResolveCache::new();
-        heap.object_containing_cached(a, &mut cache).unwrap();
-        heap.object_containing_cached(a, &mut cache).unwrap();
+        resolve_cached(&mut heap, a, &mut cache).unwrap();
+        resolve_cached(&mut heap, a, &mut cache).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         // Mapping a block of a new size class mutates the page map and
         // bumps its epoch: the next lookup must flush and re-walk, not
         // serve the stale entry.
         heap.alloc(&mut space, 2048, ObjectKind::Composite, &mut accept_all)
             .unwrap();
-        let resolved = heap.object_containing_cached(a, &mut cache);
+        let resolved = resolve_cached(&mut heap, a, &mut cache);
         assert_eq!(resolved, heap.object_containing(a));
         assert_eq!(
             (cache.hits(), cache.misses()),
@@ -2576,7 +2599,7 @@ mod quarantine_tests {
         heap.clear_marks();
         heap.sweep();
         assert_eq!(
-            heap.object_containing_cached(a, &mut cache),
+            resolve_cached(&mut heap, a, &mut cache),
             None,
             "released block is not resurrected by the cache"
         );

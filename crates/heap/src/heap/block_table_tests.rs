@@ -57,8 +57,7 @@ fn resolve_cache_never_maps_a_released_page_to_a_reused_id() {
     let old_id = heap.object_containing(doomed).unwrap().block;
     let mut cache = PageResolveCache::new();
     assert_eq!(
-        heap.object_containing_cached(doomed, &mut cache)
-            .map(|o| o.block),
+        resolve_cached(&mut heap, doomed, &mut cache).map(|o| o.block),
         Some(old_id)
     );
     heap.clear_marks();
@@ -76,11 +75,8 @@ fn resolve_cache_never_maps_a_released_page_to_a_reused_id() {
     assert_ne!(fresh.page(), old_page);
     // The entry filled before the release must not name the new block.
     assert_eq!(cache.block_for(old_page, &heap.page_map), None);
-    assert_eq!(heap.object_containing_cached(doomed, &mut cache), None);
-    assert_eq!(
-        heap.object_containing_cached(fresh, &mut cache),
-        Some(reused)
-    );
+    assert_eq!(resolve_cached(&mut heap, doomed, &mut cache), None);
+    assert_eq!(resolve_cached(&mut heap, fresh, &mut cache), Some(reused));
 }
 
 #[test]

@@ -50,7 +50,7 @@ pub use error::HeapError;
 pub use explicit::ExplicitHeap;
 pub use freelist::{FreeList, FreeListPolicy};
 pub use heap::{
-    accept_all, Descriptor, DescriptorId, Heap, HeapConfig, HeapStats, LazySweepStats,
-    PagePredicate, PageResolveCache, PageUse, SizeClassCensus, SweepStats,
+    accept_all, Descriptor, DescriptorId, Heap, HeapConfig, HeapStats, LazySweepStats, MarkBit,
+    MarkHit, PagePredicate, PageResolveCache, PageUse, SizeClassCensus, SweepStats,
 };
 pub use sizeclass::{SizeClass, GRANULE_BYTES, MAX_SMALL_BYTES};

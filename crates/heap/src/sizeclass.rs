@@ -20,6 +20,18 @@ const CLASS_GRANULES: [u32; 18] = [
     1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512,
 ];
 
+/// Objects per page of each class, so that resolving a candidate (the
+/// mark phase's hot path) divides only once, by the object size.
+const CLASS_SLOTS: [u32; CLASS_GRANULES.len()] = {
+    let mut slots = [0; CLASS_GRANULES.len()];
+    let mut i = 0;
+    while i < slots.len() {
+        slots[i] = PAGE_BYTES / (CLASS_GRANULES[i] * GRANULE_BYTES);
+        i += 1;
+    }
+    slots
+};
+
 /// The largest small-object request in bytes; larger requests become large
 /// objects.
 pub const MAX_SMALL_BYTES: u32 = CLASS_GRANULES[CLASS_GRANULES.len() - 1] * GRANULE_BYTES;
@@ -50,13 +62,15 @@ impl SizeClass {
     }
 
     /// Object size of this class in bytes.
+    #[inline]
     pub fn bytes(self) -> u32 {
         CLASS_GRANULES[self.0 as usize] * GRANULE_BYTES
     }
 
     /// Number of objects of this class that fit in one page.
+    #[inline]
     pub fn objects_per_page(self) -> u32 {
-        PAGE_BYTES / self.bytes()
+        CLASS_SLOTS[self.0 as usize]
     }
 
     /// All size classes, smallest first.

@@ -1,8 +1,8 @@
 //! Property-based tests for the heap substrate's structural invariants.
 
 use gc_heap::{
-    accept_all, BlockShape, Descriptor, ExplicitHeap, FreeListPolicy, Heap, HeapConfig, ObjectKind,
-    SweepStats,
+    accept_all, BlockShape, Descriptor, ExplicitHeap, FreeListPolicy, Heap, HeapConfig, MarkBit,
+    MarkHit, ObjectKind, PageResolveCache, SweepStats,
 };
 use gc_vmspace::{Addr, AddressSpace, Endian, PAGE_BYTES};
 use proptest::prelude::*;
@@ -609,5 +609,202 @@ proptest! {
         }
         // Steady state: memory does not grow without bound across rounds.
         prop_assert_eq!(heap.stats().mapped_pages, peak_pages);
+    }
+}
+
+/// One round of the mark-kernel oracle's trace: allocations (an
+/// `ORACLE_SIZES` index, and 0/1 typed, 2 composite, 3 atomic), then a
+/// collection that marks the objects a seed picks and sweeps full or minor
+/// (third field), eagerly or lazily (fourth).
+type KernelRound = (Vec<(usize, u8)>, u64, bool, bool);
+
+/// Whether object `i` of a trace is one the seed picks (about half).
+fn picked(i: usize, seed: u64) -> bool {
+    ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed)
+        .count_ones()
+        .is_multiple_of(2)
+}
+
+/// Marks whatever live object now holds each picked base.
+fn mark_picked(heap: &mut Heap, bases: &[u32], seed: u64) {
+    for (i, &base) in bases.iter().enumerate() {
+        if picked(i, seed) {
+            if let Some(obj) = heap.object_containing(Addr::new(base)) {
+                heap.set_marked(obj);
+            }
+        }
+    }
+}
+
+/// Replays an oracle trace into a fresh heap; also returns every object
+/// base the trace allocated, dead ones included. Swept blocks release and
+/// their ids are reused by later rounds. A last lazy round's snapshot stays
+/// pending when `pending` is set; otherwise the marks are cleared and the
+/// objects `premark` picks are marked, as in a mark phase under way.
+fn kernel_heap(rounds: &[KernelRound], pending: bool, premark: u64) -> (Heap, Vec<u32>) {
+    let mut space = AddressSpace::new(Endian::Big);
+    let mut heap = Heap::new(HeapConfig {
+        heap_base: Addr::new(0x10_0000),
+        max_heap_bytes: 64 << 20,
+        growth_pages: 16,
+        ..HeapConfig::default()
+    });
+    let ids = [
+        Descriptor::with_pointers_at(2, &[0]),
+        Descriptor::with_pointers_at(3, &[1, 2]),
+    ]
+    .map(|d| heap.register_descriptor(d));
+    let mut bases = Vec::new();
+    for (allocs, mark_seed, minor, lazy) in rounds {
+        for &(size, how) in allocs {
+            let bytes = ORACLE_SIZES[size];
+            let addr = match how {
+                0 | 1 => heap.alloc_typed(&mut space, bytes, ids[how as usize], &mut accept_all),
+                2 => heap.alloc(&mut space, bytes, ObjectKind::Composite, &mut accept_all),
+                _ => heap.alloc(&mut space, bytes, ObjectKind::Atomic, &mut accept_all),
+            }
+            .unwrap();
+            bases.push(addr.raw());
+        }
+        heap.clear_marks();
+        mark_picked(&mut heap, &bases, *mark_seed);
+        match (lazy, minor) {
+            (false, false) => heap.sweep(),
+            (false, true) => heap.sweep_young(),
+            (true, false) => heap.sweep_lazy(),
+            (true, true) => heap.sweep_young_lazy(),
+        };
+    }
+    if !(pending && heap.pending_sweep_blocks() > 0) {
+        heap.clear_marks();
+        mark_picked(&mut heap, &bases, premark);
+    }
+    (heap, bases)
+}
+
+/// Candidate addresses for the kernel oracle, in an order `seed` scrambles
+/// so consecutive probes jump between pages: bases, unaligned and aligned
+/// interiors, the last bytes of each size, first-page boundaries, the
+/// trailing waste of small blocks and the space past a large object's end,
+/// and addresses outside the heap.
+fn kernel_probes(heap: &Heap, bases: &[u32], seed: u64) -> Vec<Addr> {
+    let mut probes: Vec<u32> = Vec::new();
+    for &base in bases {
+        for off in [0, 1, 4, 11, 39, 2047, 2999, 4095, 4096, 8999, 9000, 12287] {
+            probes.push(base.wrapping_add(off));
+        }
+    }
+    for block in heap.blocks() {
+        let used = block.base() + block.slots() * block.obj_bytes();
+        let end = block.base() + block.npages() * PAGE_BYTES;
+        if used < end {
+            probes.extend([used.raw(), end.raw() - 4]);
+        }
+    }
+    probes.extend([0, 0x10_0000 - 4, heap.hi().raw(), heap.hi().raw() + 4]);
+    probes.sort_by_key(|&a| (u64::from(a) ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    probes.into_iter().map(Addr::new).collect()
+}
+
+/// The pointer policies, as `accept(addr, base)`.
+fn all_interior(_addr: Addr, _base: Addr) -> bool {
+    true
+}
+fn first_page(addr: Addr, base: Addr) -> bool {
+    addr.offset_from(base) < PAGE_BYTES
+}
+fn base_only(addr: Addr, base: Addr) -> bool {
+    addr == base
+}
+
+/// The composition the mark kernel replaced: resolve, apply the policy,
+/// stop at the minor-mode old boundary, then test-and-set the mark bit.
+fn reference_mark(
+    heap: &mut Heap,
+    addr: Addr,
+    policy: fn(Addr, Addr) -> bool,
+    minor: bool,
+) -> MarkHit {
+    let Some(obj) = heap
+        .object_containing(addr)
+        .filter(|o| policy(addr, o.base))
+    else {
+        return MarkHit::Invalid;
+    };
+    if minor && heap.is_old(obj) {
+        MarkHit::Valid
+    } else if heap.set_marked(obj) {
+        MarkHit::Newly(obj)
+    } else {
+        MarkHit::Valid
+    }
+}
+
+/// Every block's mark bits, keyed by block base.
+fn mark_bits(heap: &Heap) -> BTreeMap<u32, Vec<bool>> {
+    heap.blocks()
+        .map(|b| {
+            (
+                b.base().raw(),
+                (0..b.slots()).map(|s| b.is_marked(s)).collect(),
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `Heap::mark_candidate` gives the same outcome for every candidate,
+    /// and leaves the same mark bits, as the reference composition, on
+    /// random heaps with small and large blocks, typed and untyped slots,
+    /// trailing waste, pending lazy snapshots (full and minor) and reused
+    /// block ids — for every pointer policy, in full and minor mode, with
+    /// either mark-bit kind, with and without a resolve cache. The scan's
+    /// `descriptor_of_obj` agrees with `descriptor_of` on every live object.
+    #[test]
+    fn mark_kernel_matches_reference_composition(
+        rounds in proptest::collection::vec(
+            (
+                proptest::collection::vec((0usize..ORACLE_SIZES.len(), 0u8..4), 1..60),
+                any::<u64>(),
+                any::<bool>(),
+                any::<bool>(),
+            ),
+            1..4,
+        ),
+        pending: bool,
+        premark: u64,
+        order: u64,
+    ) {
+        let (heap, bases) = kernel_heap(&rounds, pending, premark);
+        for obj in heap.live_objects() {
+            prop_assert_eq!(heap.descriptor_of_obj(obj), heap.descriptor_of(obj.base));
+        }
+        let probes = kernel_probes(&heap, &bases, order);
+        let policies: [fn(Addr, Addr) -> bool; 3] = [all_interior, first_page, base_only];
+        for (p, policy) in policies.into_iter().enumerate() {
+            for minor in [false, true] {
+                for bit in [MarkBit::Single, MarkBit::Atomic] {
+                    for cached in [false, true] {
+                        let (kernel, _) = kernel_heap(&rounds, pending, premark);
+                        let (mut reference, _) = kernel_heap(&rounds, pending, premark);
+                        let mut cache = PageResolveCache::new();
+                        for &addr in &probes {
+                            let got = kernel.mark_candidate(
+                                addr,
+                                cached.then_some(&mut cache),
+                                minor,
+                                |base| policy(addr, base),
+                                bit,
+                            );
+                            let want = reference_mark(&mut reference, addr, policy, minor);
+                            prop_assert_eq!(got, want, "{} policy {} minor {} {:?}", addr, p, minor, bit);
+                        }
+                        prop_assert_eq!(mark_bits(&kernel), mark_bits(&reference));
+                    }
+                }
+            }
+        }
     }
 }
