@@ -4,7 +4,7 @@
 //! objects/sec, MB/sec, and how many collections ran while allocating:
 //!
 //! * `small_composite` — 16-byte pointer-bearing objects, the hottest size
-//!   class and the main beneficiary of bump-cursor blocks.
+//!   class, allocated from the block bitmaps.
 //! * `small_atomic` — 16-byte pointer-free objects; zero-once pages make
 //!   their fill skippable on fresh slots.
 //! * `typed` — 16-byte objects behind a registered descriptor, exercising
@@ -16,11 +16,9 @@
 //!
 //! Runs standalone (`cargo bench --bench alloc_family`). `--json <path>`
 //! additionally writes the machine-readable report (the committed baseline
-//! lives at `BENCH_alloc.json` in the repository root); `--no-bump` turns
-//! the bump-cursor/zero-once fast path off so before/after numbers come
-//! from the same binary.
+//! lives at `BENCH_alloc.json` in the repository root).
 
-use gc_bench::{json_array, json_object, json_str, take_flag, JsonOut};
+use gc_bench::{json_array, json_object, json_str, JsonOut};
 use gc_core::{Collector, GcConfig};
 use gc_heap::{Descriptor, HeapConfig, ObjectKind};
 use gc_machine::{Machine, MachineConfig};
@@ -51,7 +49,7 @@ impl BenchResult {
     }
 }
 
-fn collector(bump_alloc: bool) -> Collector {
+fn collector() -> Collector {
     let mut space = AddressSpace::new(Endian::Big);
     space
         .map(SegmentSpec::new(
@@ -66,7 +64,6 @@ fn collector(bump_alloc: bool) -> Collector {
         GcConfig {
             heap: HeapConfig {
                 heap_base: Addr::new(0x10_0000),
-                bump_alloc,
                 ..HeapConfig::default()
             },
             // Collections at a realistic cadence: the GC counts in the
@@ -79,10 +76,10 @@ fn collector(bump_alloc: bool) -> Collector {
 
 /// Runs `body` against a fresh collector `REPS` times and keeps the
 /// fastest repetition.
-fn best_of(name: &'static str, bump_alloc: bool, body: impl Fn(&mut Collector)) -> BenchResult {
+fn best_of(name: &'static str, body: impl Fn(&mut Collector)) -> BenchResult {
     let mut best: Option<BenchResult> = None;
     for _ in 0..REPS {
-        let mut gc = collector(bump_alloc);
+        let mut gc = collector();
         let t0 = Instant::now();
         body(&mut gc);
         let elapsed = t0.elapsed();
@@ -101,8 +98,8 @@ fn best_of(name: &'static str, bump_alloc: bool, body: impl Fn(&mut Collector)) 
     best.expect("REPS >= 1")
 }
 
-fn small(bump_alloc: bool, kind: ObjectKind, name: &'static str) -> BenchResult {
-    best_of(name, bump_alloc, |gc| {
+fn small(kind: ObjectKind, name: &'static str) -> BenchResult {
+    best_of(name, |gc| {
         for _ in 0..400_000u32 {
             // Dropped immediately: pure allocation + amortized collection.
             black_box(gc.alloc(16, kind).expect("heap has room"));
@@ -110,10 +107,10 @@ fn small(bump_alloc: bool, kind: ObjectKind, name: &'static str) -> BenchResult 
     })
 }
 
-fn typed(bump_alloc: bool) -> BenchResult {
+fn typed() -> BenchResult {
     let mut best: Option<BenchResult> = None;
     for _ in 0..REPS {
-        let mut gc = collector(bump_alloc);
+        let mut gc = collector();
         let desc = gc.register_descriptor(Descriptor::with_pointers_at(4, &[0, 2]));
         let t0 = Instant::now();
         for _ in 0..400_000u32 {
@@ -135,8 +132,8 @@ fn typed(bump_alloc: bool) -> BenchResult {
     best.expect("REPS >= 1")
 }
 
-fn large(bump_alloc: bool) -> BenchResult {
-    best_of("large", bump_alloc, |gc| {
+fn large() -> BenchResult {
+    best_of("large", |gc| {
         for _ in 0..20_000u32 {
             black_box(
                 gc.alloc(16 << 10, ObjectKind::Atomic)
@@ -146,19 +143,10 @@ fn large(bump_alloc: bool) -> BenchResult {
     })
 }
 
-fn gcbench_phase(bump_alloc: bool) -> BenchResult {
+fn gcbench_phase() -> BenchResult {
     let mut best: Option<BenchResult> = None;
     for _ in 0..REPS {
-        let mut m = Machine::new(MachineConfig {
-            gc: GcConfig {
-                heap: HeapConfig {
-                    bump_alloc,
-                    ..HeapConfig::default()
-                },
-                ..GcConfig::default()
-            },
-            ..MachineConfig::default()
-        });
+        let mut m = Machine::new(MachineConfig::default());
         m.add_static_segment(Addr::new(0x2_0000), 4096);
         let report = GcBench::scaled().run(&mut m);
         let stats = m.gc().heap().stats();
@@ -179,20 +167,19 @@ fn gcbench_phase(bump_alloc: bool) -> BenchResult {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let json_out = JsonOut::from_args(&mut args);
-    let bump_alloc = !take_flag(&mut args, "--no-bump");
     // `cargo bench` passes harness flags like `--bench`; ignore them.
     args.retain(|a| !a.starts_with("--"));
 
     let results = [
-        small(bump_alloc, ObjectKind::Composite, "small_composite"),
-        small(bump_alloc, ObjectKind::Atomic, "small_atomic"),
-        typed(bump_alloc),
-        large(bump_alloc),
-        gcbench_phase(bump_alloc),
+        small(ObjectKind::Composite, "small_composite"),
+        small(ObjectKind::Atomic, "small_atomic"),
+        typed(),
+        large(),
+        gcbench_phase(),
     ];
 
     println!(
-        "alloc_family (bump_alloc = {bump_alloc}, best of {REPS}):\n\
+        "alloc_family (best of {REPS}):\n\
          {:<16} {:>12} {:>12} {:>12} {:>6}",
         "bench", "objs/sec", "MB/sec", "objects", "GCs"
     );
@@ -225,7 +212,6 @@ fn main() {
         let doc = json_object(&[
             ("v", "1".into()),
             ("bench", json_str("alloc_family")),
-            ("bump_alloc", bump_alloc.to_string()),
             ("reps", REPS.to_string()),
             ("results", json_array(&rows)),
         ]);

@@ -9,6 +9,7 @@ use crate::{
 };
 use gc_heap::{
     Descriptor, DescriptorId, Heap, HeapError, LazySweepStats, ObjRef, ObjectKind, PageUse,
+    SweepStats,
 };
 use gc_vmspace::{Addr, AddressSpace, PageIdx, PAGE_BYTES};
 use std::collections::{HashMap, HashSet};
@@ -600,11 +601,7 @@ impl Collector {
         self.clear_dead_links(false);
         phases.finalize += t_phase.elapsed();
         let t_phase = Instant::now();
-        let sweep = if self.config.lazy_sweep {
-            self.heap.sweep_lazy()
-        } else {
-            self.heap.sweep()
-        };
+        let sweep = self.sweep(false);
         phases.sweep = t_phase.elapsed();
         self.cards.clear();
         self.minors_since_full = 0;
@@ -807,12 +804,7 @@ impl Collector {
         self.clear_dead_links(minor);
         phases.finalize += t_phase.elapsed();
         let t_phase = Instant::now();
-        let sweep = match (self.config.lazy_sweep, minor) {
-            (true, true) => self.heap.sweep_young_lazy(),
-            (true, false) => self.heap.sweep_lazy(),
-            (false, true) => self.heap.sweep_young(),
-            (false, false) => self.heap.sweep(),
-        };
+        let sweep = self.sweep(minor);
         phases.sweep = t_phase.elapsed();
         self.cards.clear();
         if minor {
@@ -851,6 +843,16 @@ impl Collector {
         self.stats.pause_times.record_duration(c.duration);
         self.emit_collection_end(&c);
         c
+    }
+
+    /// Sweeps after a full or `minor` collection, lazily or eagerly per
+    /// the configuration.
+    fn sweep(&mut self, minor: bool) -> SweepStats {
+        if self.config.lazy_sweep {
+            self.heap.sweep_lazy(minor)
+        } else {
+            self.heap.sweep(minor)
+        }
     }
 
     /// Emits the events a finished collection produces: blacklist growth,
@@ -1466,6 +1468,25 @@ mod tests {
             assert!(r.is_ok(), "allocation {i} failed: {r:?}");
         }
         assert!(gc.gc_count() > 0, "OOM retries must have collected");
+    }
+
+    #[test]
+    fn sizes_near_four_gib_fail_after_the_oom_collection() {
+        let mut gc = setup(small_config());
+        gc.start();
+        for bytes in [0xFFFF_FFFC, 0xFFFF_FFFD, u32::MAX] {
+            let collections = gc.gc_count();
+            assert_eq!(
+                gc.alloc(bytes, ObjectKind::Atomic),
+                Err(GcError::Heap(HeapError::OutOfMemory {
+                    requested: bytes,
+                    pages_denied: 0,
+                })),
+                "{bytes:#x}"
+            );
+            assert_eq!(gc.gc_count(), collections + 1, "the retry collected");
+        }
+        assert_eq!(gc.heap().stats(), gc.heap().recomputed_stats());
     }
 
     #[test]

@@ -401,16 +401,6 @@ impl GcConfigBuilder {
         self
     }
 
-    /// Enables or disables the bump-cursor/zero-once allocation fast path.
-    /// See [`HeapConfig::bump_alloc`](gc_heap::HeapConfig::bump_alloc);
-    /// behaviorally invisible either way, `false` restores the old
-    /// prepopulated-free-list shapes for differential testing.
-    #[must_use]
-    pub fn bump_alloc(mut self, enabled: bool) -> Self {
-        self.config.heap.bump_alloc = enabled;
-        self
-    }
-
     /// Validates and returns the configuration.
     ///
     /// # Errors
@@ -505,7 +495,6 @@ mod tests {
             .mark_threads(4)
             .lazy_sweep(true)
             .sweep_budget(7)
-            .bump_alloc(false)
             .min_bytes_between_gcs(1)
             .build()
             .expect("valid configuration");
@@ -515,7 +504,6 @@ mod tests {
         assert_eq!(c.full_gc_every, 3);
         assert_eq!(c.mark_threads, 4);
         assert_eq!(c.heap.sweep_budget, 7, "sweep_budget reaches the heap");
-        assert!(!c.heap.bump_alloc, "bump_alloc reaches the heap");
         assert_eq!(c.min_bytes_between_gcs, 1);
     }
 

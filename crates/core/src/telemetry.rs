@@ -50,12 +50,12 @@ use std::time::Duration;
 /// `last_collection.resolve_misses`, and the same two fields on the
 /// `collection_end` event (all 0 when the cache is disabled).
 ///
-/// Version 5 added allocation fast-path telemetry: the `bump_alloc`
-/// config field, the snapshot's top-level `fast_path_allocs` /
-/// `slow_path_allocs` counters (successful allocations that did / did not
-/// trigger collection work), and the same two fields on
-/// `last_collection` as deltas since the previous collection.
-pub const METRICS_SCHEMA_VERSION: u32 = 5;
+/// Version 5 added allocation fast-path telemetry: the snapshot's
+/// top-level `fast_path_allocs` / `slow_path_allocs` counters (successful
+/// allocations that did / did not trigger collection work), and the same
+/// two fields on `last_collection` as deltas since the previous
+/// collection. Version 6 removed the allocation-path switch from `config`.
+pub const METRICS_SCHEMA_VERSION: u32 = 6;
 
 // ---------------------------------------------------------------------------
 // Phase timings
@@ -840,7 +840,7 @@ pub(crate) fn metrics_json(gc: &Collector) -> String {
     );
 
     let config_summary = format!(
-        "{{\"pointer_policy\":\"{}\",\"scan_alignment\":\"{}\",\"generational\":{},\"incremental\":{},\"mark_threads\":{},\"lazy_sweep\":{},\"sweep_budget\":{},\"resolve_cache\":{},\"bump_alloc\":{}}}",
+        "{{\"pointer_policy\":\"{}\",\"scan_alignment\":\"{}\",\"generational\":{},\"incremental\":{},\"mark_threads\":{},\"lazy_sweep\":{},\"sweep_budget\":{},\"resolve_cache\":{}}}",
         config.pointer_policy,
         config.scan_alignment,
         config.generational,
@@ -849,7 +849,6 @@ pub(crate) fn metrics_json(gc: &Collector) -> String {
         config.lazy_sweep,
         config.heap.sweep_budget,
         config.resolve_cache,
-        config.heap.bump_alloc,
     );
 
     // Lazy-sweep state: what is still pending, and the deferred work

@@ -97,11 +97,8 @@ pub struct Block {
     /// the mark bits of that collection decide each slot's fate. While
     /// pending, per-slot liveness is `allocated && survives-the-snapshot`.
     pub(crate) pending: bool,
-    /// Bump cursor: slots at indices `>= bump` have never been allocated
-    /// since the block was created (the never-used tail). Equal to
-    /// [`slots()`](Self::slots) once the tail is exhausted — or immediately,
-    /// for blocks allocated without a cursor (LIFO policy, the old-style
-    /// prepopulated path, and large blocks once their single slot is taken).
+    /// Never-used watermark: slots at indices `>= bump` have never been
+    /// allocated since the block was created.
     pub(crate) bump: u32,
     /// The block was carved from pages never written since the address
     /// space mapped (and zeroed) them, so never-used slots are still
@@ -360,13 +357,6 @@ impl Block {
     /// Returns `true` if the block contains no live objects.
     pub fn is_unused(&self) -> bool {
         self.allocated.count_ones() == 0
-    }
-
-    /// First never-used slot index: slots `>= bump_cursor()` have never
-    /// been allocated since the block was created. `slots()` when the
-    /// block has no never-used tail.
-    pub fn bump_cursor(&self) -> u32 {
-        self.bump
     }
 
     /// Is the block awaiting a deferred (lazy) sweep?

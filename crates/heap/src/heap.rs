@@ -1,8 +1,9 @@
 //! The page-level heap: block acquisition, object allocation, sweeping.
 
 use crate::block::SlotFates;
+use crate::freelist::FreeList;
 use crate::{
-    Block, BlockId, BlockShape, FreeList, FreeListPolicy, HeapError, ObjRef, ObjectKind, SizeClass,
+    Block, BlockId, BlockShape, FreeListPolicy, HeapError, ObjRef, ObjectKind, SizeClass,
     GRANULE_BYTES,
 };
 use gc_vmspace::{Addr, AddressSpace, PageIdx, SegmentKind, SegmentSpec, PAGE_BYTES};
@@ -192,17 +193,6 @@ pub struct HeapConfig {
     /// Values below 1 behave as 1 — an allocation that finds its free list
     /// empty must be allowed to sweep at least one block to make progress.
     pub sweep_budget: u32,
-    /// Allocation fast path: fresh small blocks keep their never-used
-    /// slots behind a per-(class, kind) bump cursor instead of
-    /// prepopulating the free list, and allocations into never-written
-    /// pages skip the explicit zero fill (the pages were zeroed when
-    /// mapped). Behaviourally invisible — allocation addresses, zeroing,
-    /// and collection triggers are identical either way; `false` restores
-    /// the old prepopulate-and-always-fill shapes for differential
-    /// testing. Cursors only apply under the address-ordered free-list
-    /// policy (LIFO's pop order cannot be expressed as a cursor); the
-    /// zero-once fill elision applies under both.
-    pub bump_alloc: bool,
 }
 
 impl Default for HeapConfig {
@@ -213,7 +203,6 @@ impl Default for HeapConfig {
             growth_pages: 256,
             freelist_policy: FreeListPolicy::AddressOrdered,
             sweep_budget: 64,
-            bump_alloc: true,
         }
     }
 }
@@ -379,18 +368,9 @@ pub struct Heap {
     /// may relent. Keeps repeated atomic misses from rescanning the whole
     /// list.
     quarantine_scan: usize,
-    /// Free lists indexed by `class.index() * 2 + kind`, holding only
-    /// *recycled* slots under the bump-allocation fast path (never-used
-    /// tails stay behind `cursors`).
+    /// Free lists indexed by `class.index() * 2 + kind`: the free slots
+    /// of every realized (not pending) small block.
     free_lists: Vec<FreeList>,
-    /// Bump cursors indexed like `free_lists`: the current block whose
-    /// never-used tail (`bump..slots`) serves fresh allocations for that
-    /// (class, kind). At most one block per index ever has a never-used
-    /// tail, so the union of the free list and the cursor tail is exactly
-    /// the slot set the prepopulated free list used to hold, and popping
-    /// `min(list head, tail head)` preserves the address-ordered
-    /// allocation order bit for bit.
-    cursors: Vec<Option<BlockId>>,
     /// Pages mapped but in no free run and no block (the free-run total,
     /// maintained incrementally so `stats()` is O(1)).
     free_run_pages: u32,
@@ -447,6 +427,15 @@ fn fl_index(class: SizeClass, kind: ObjectKind) -> usize {
         }
 }
 
+/// The free-list (and pending-queue) index of a small block; `None` for a
+/// large one.
+fn small_index(block: &Block) -> Option<usize> {
+    match block.shape {
+        BlockShape::Small { class } => Some(fl_index(class, block.kind)),
+        BlockShape::Large { .. } => None,
+    }
+}
+
 /// The heap never maps the top page of the 32-bit space, so every block's
 /// one-past-the-end address, and [`Heap::hi`], stay representable.
 const HEAP_CEILING: u64 = (1 << 32) - PAGE_BYTES as u64;
@@ -461,30 +450,6 @@ impl SweepStats {
         self.bytes_freed += u64::from(fates.freed) * ob;
         self.objects_promoted += u64::from(fates.promoted);
         self.bytes_promoted += u64::from(fates.promoted) * ob;
-    }
-}
-
-/// Hands a swept small block's free slots to its free list in ascending
-/// order; the never-used tail (`>= bump`) stays behind the cursor unless
-/// another block already owns the cursor — only possible after a partial
-/// lazy drain forced a fresh block while this tail was still pending —
-/// in which case the tail is retired into the free list too.
-fn recycle_slots(block: &mut Block, free_lists: &mut [FreeList], cursors: &mut [Option<BlockId>]) {
-    let BlockShape::Small { class } = block.shape else {
-        return;
-    };
-    let fli = fl_index(class, block.kind);
-    if block.bump < block.slots() && cursors[fli].is_some() {
-        block.bump = block.slots();
-    }
-    for slot in block.allocated.iter_zeros() {
-        if slot >= block.bump {
-            break;
-        }
-        free_lists[fli].push(block.slot_base(slot));
-    }
-    if block.bump < block.slots() {
-        cursors[fli] = Some(block.id);
     }
 }
 
@@ -509,7 +474,6 @@ impl Heap {
             quarantined: Vec::new(),
             quarantine_scan: 0,
             free_lists,
-            cursors: vec![None; SizeClass::COUNT * 2],
             free_run_pages: 0,
             run_lengths: BTreeMap::new(),
             block_count: 0,
@@ -666,51 +630,33 @@ impl Heap {
         }
     }
 
-    /// Whether fresh small blocks keep their never-used slots behind a
-    /// bump cursor (the allocation fast path). LIFO free lists keep the
-    /// prepopulated shape: their pop order is not expressible as a cursor.
-    fn bump_enabled(&self) -> bool {
-        self.config.bump_alloc && self.config.freelist_policy == FreeListPolicy::AddressOrdered
+    /// Takes the next free slot of `fli` per the free-list policy.
+    fn pop_small_slot(&mut self, fli: usize) -> Option<(BlockId, u32)> {
+        let page_map = &self.page_map;
+        self.free_lists[fli].pop(&self.blocks, |addr| page_map.get(addr.page()))
     }
 
-    /// Pops the next small slot for `fli`, merging the recycled free list
-    /// with the bump cursor's never-used tail so the global allocation
-    /// order is exactly what a prepopulated free list would produce.
-    /// Returns `(addr, block, slot, fresh)`; `fresh` means the slot's
-    /// memory has never been written (allocation may skip the zero fill).
-    fn pop_small_slot(&mut self, fli: usize) -> Option<(Addr, BlockId, u32, bool)> {
-        let tail = self.cursors[fli].map(|id| {
-            let b = self.blocks[id.0 as usize]
-                .as_ref()
-                .expect("cursor block is live");
-            debug_assert!(b.bump < b.slots(), "cursor block has a never-used tail");
-            (b.slot_base(b.bump), id, b.bump)
-        });
-        let take_list = match (self.free_lists[fli].peek(), tail) {
-            (Some(l), Some((t, _, _))) => l < t,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
-        if take_list {
-            let addr = self.free_lists[fli].pop().expect("peeked slot pops");
-            let (block, slot) = self.slot_of(addr).expect("free-list slot resolves");
-            Some((addr, block.id(), slot, false))
-        } else {
-            let (addr, id, slot) = tail.expect("cursor tail selected");
-            let b = self.block_mut(id);
-            b.bump += 1;
-            let fresh = b.zeroed;
-            if b.bump == b.slots() {
-                self.cursors[fli] = None;
-            }
-            Some((addr, id, slot, fresh))
+    /// Lazy sweeping's slow path for an empty free list: sweeps pending
+    /// blocks of `fli` until one yields a free slot, which it takes, or
+    /// the per-allocation budget is spent.
+    fn sweep_pending_small(&mut self, fli: usize) -> Option<(BlockId, u32)> {
+        if self.pending_small[fli].is_empty() {
+            return None;
         }
-    }
-
-    /// Is a slot available for `fli` without taking a fresh page?
-    fn small_slot_available(&self, fli: usize) -> bool {
-        !self.free_lists[fli].is_empty() || self.cursors[fli].is_some()
+        let t0 = Instant::now();
+        let mut budget = self.config.sweep_budget.max(1);
+        let mut free = None;
+        while budget > 0 && free.is_none() {
+            let Some(id) = self.pending_small[fli].pop_front() else {
+                break;
+            };
+            if self.sweep_pending_block(id) {
+                budget -= 1;
+                free = self.pop_small_slot(fli);
+            }
+        }
+        self.lazy_totals.sweep_time += t0.elapsed();
+        free
     }
 
     fn alloc_small(
@@ -721,15 +667,13 @@ impl Heap {
         pred: PagePredicate<'_>,
     ) -> Result<(Addr, BlockId, u32), HeapError> {
         let fli = fl_index(class, kind);
-        if let Some((addr, id, slot, fresh)) = self.pop_small_slot(fli) {
-            return self.finish_alloc(space, addr, id, slot, class.bytes(), fresh);
-        }
-        // Lazy-sweep slow path: reload this class's free list from blocks
-        // the last collection left pending before taking a fresh page.
-        if self.sweep_pending_small(fli) {
-            if let Some((addr, id, slot, fresh)) = self.pop_small_slot(fli) {
-                return self.finish_alloc(space, addr, id, slot, class.bytes(), fresh);
-            }
+        // Blocks the last collection left pending are swept before a
+        // fresh page is taken.
+        if let Some((id, slot)) = self
+            .pop_small_slot(fli)
+            .or_else(|| self.sweep_pending_small(fli))
+        {
+            return self.finish_alloc(space, id, slot);
         }
         let mut denied = 0u32;
         // Quarantined (predicate-rejected) pages are still usable by small
@@ -748,6 +692,7 @@ impl Heap {
             // rejected; the accepted entry is replaced by the unscanned
             // last element, so the rejected prefix ends at the hit index.
             self.quarantine_scan = hit.unwrap_or(self.quarantined.len());
+            denied += (self.quarantine_scan - start) as u32;
             hit
         } else {
             None
@@ -767,24 +712,14 @@ impl Heap {
         };
         let id = self.new_block_id();
         let mut block = Block::new_small(id, page.base(), class, kind);
-        block.zeroed = self.config.bump_alloc && self.pages_clean(page, 1);
+        block.zeroed = self.pages_clean(page, 1);
         self.page_map.set(page, id);
         self.clear_pages_clean(page, 1);
-        let addr = block.slot_base(0);
-        let fresh = block.zeroed;
-        if self.bump_enabled() {
-            block.bump = 1;
-            if block.bump < block.slots() {
-                self.cursors[fli] = Some(id);
-            }
-        } else {
-            block.bump = block.slots();
-            for slot in 1..block.slots() {
-                self.free_lists[fli].push(block.slot_base(slot));
-            }
-        }
         self.install_block(block);
-        self.finish_alloc(space, addr, id, 0, class.bytes(), fresh)
+        let allocated = self.finish_alloc(space, id, 0)?;
+        let block = self.blocks[id.0 as usize].as_ref().expect("block is live");
+        self.free_lists[fli].add(block, None);
+        Ok(allocated)
     }
 
     fn alloc_large(
@@ -794,7 +729,14 @@ impl Heap {
         kind: ObjectKind,
         pred: PagePredicate<'_>,
     ) -> Result<(Addr, BlockId, u32), HeapError> {
-        let obj_bytes = bytes.div_ceil(GRANULE_BYTES) * GRANULE_BYTES;
+        // Sizes within a granule of 2^32 do not round to a granule; no
+        // placement could hold them anyway.
+        let Some(obj_bytes) = bytes.checked_next_multiple_of(GRANULE_BYTES) else {
+            return Err(HeapError::OutOfMemory {
+                requested: bytes,
+                pages_denied: 0,
+            });
+        };
         let npages = obj_bytes.div_ceil(PAGE_BYTES);
         // Lazy-sweep slow path: sweeping pending large blocks releases the
         // dead ones' pages, which may satisfy this request without growing
@@ -817,16 +759,13 @@ impl Heap {
             })?;
         let id = self.new_block_id();
         let mut block = Block::new_large(id, first_page.base(), obj_bytes, kind);
-        block.zeroed = self.config.bump_alloc && self.pages_clean(first_page, block.npages());
-        for i in 0..block.npages() {
+        block.zeroed = self.pages_clean(first_page, npages);
+        for i in 0..npages {
             self.page_map.set(PageIdx::new(first_page.raw() + i), id);
         }
-        self.clear_pages_clean(first_page, block.npages());
-        let addr = block.base();
-        let fresh = block.zeroed;
-        block.bump = 1;
+        self.clear_pages_clean(first_page, npages);
         self.install_block(block);
-        self.finish_alloc(space, addr, id, 0, obj_bytes, fresh)
+        self.finish_alloc(space, id, 0)
     }
 
     /// The id for a block about to be created: a released block's id when
@@ -846,25 +785,23 @@ impl Heap {
         self.block_count += 1;
     }
 
-    /// Books one allocated slot. The caller resolved `(id, slot)` already
-    /// (the bump and fresh-block paths know them outright; free-list pops
-    /// do one page-map lookup), so no redundant `slot_of` walk happens
-    /// here. `fresh` slots — never written since their pages were mapped —
-    /// skip the zero fill: the mapping already zeroed them.
+    /// Books one allocated slot. Slots at or above the block's never-used
+    /// watermark on pages never written since they were mapped skip the
+    /// zero fill: the mapping already zeroed them.
     fn finish_alloc(
         &mut self,
         space: &mut AddressSpace,
-        addr: Addr,
         id: BlockId,
         slot: u32,
-        obj_bytes: u32,
-        fresh: bool,
     ) -> Result<(Addr, BlockId, u32), HeapError> {
         let b = self.block_mut(id);
         b.allocated.set(slot);
         // Fresh objects are born young, whatever the slot's previous
         // occupant was.
         b.old.clear(slot);
+        let fresh = b.zeroed && slot >= b.bump;
+        b.bump = b.bump.max(slot + 1);
+        let (addr, obj_bytes) = (b.slot_base(slot), b.obj_bytes());
         if !fresh {
             space.fill(addr, obj_bytes, 0)?;
         }
@@ -1218,22 +1155,15 @@ impl Heap {
         }
     }
 
-    /// Sweeps after a *full* collection: reclaims every
-    /// allocated-but-unmarked object, tenures every survivor, rebuilds the
-    /// object free lists, and releases fully empty blocks.
-    pub fn sweep(&mut self) -> SweepStats {
-        self.sweep_impl(false)
-    }
-
-    /// Sweeps after a *minor* (young-only) collection: old objects are
-    /// retained regardless of mark bits; unmarked young objects are
-    /// reclaimed; marked young objects are promoted (sticky mark bits, as
-    /// in the PCR generational collector the paper builds on).
-    pub fn sweep_young(&mut self) -> SweepStats {
-        self.sweep_impl(true)
-    }
-
-    fn sweep_impl(&mut self, minor: bool) -> SweepStats {
+    /// Sweeps every block now, reclaiming every allocated-but-unmarked
+    /// object, tenuring every survivor, rebuilding the object free lists
+    /// and releasing fully empty blocks.
+    ///
+    /// After a *minor* (young-only) collection, old objects are retained
+    /// regardless of mark bits, unmarked young objects are reclaimed, and
+    /// marked young objects are promoted (sticky mark bits, as in the PCR
+    /// generational collector the paper builds on).
+    pub fn sweep(&mut self, minor: bool) -> SweepStats {
         // An eager sweep supersedes any outstanding lazy snapshot: it
         // visits every block with the same (fresh) mark bits the deferred
         // sweeps would have used.
@@ -1246,8 +1176,8 @@ impl Heap {
             stats.tally(fates, block.obj_bytes());
             if fates.live == 0 {
                 released.push(block.id);
-            } else {
-                recycle_slots(block, &mut self.free_lists, &mut self.cursors);
+            } else if let Some(fli) = small_index(block) {
+                self.free_lists[fli].add(block, None);
             }
         }
         for id in released {
@@ -1270,34 +1200,7 @@ impl Heap {
     /// The caller (the collector) must complete any previous snapshot
     /// *before* clearing mark bits for the next cycle — pending blocks'
     /// reclamation decisions live in those bits.
-    pub fn sweep_lazy(&mut self) -> SweepStats {
-        self.sweep_lazy_impl(false)
-    }
-
-    /// Lazy counterpart of [`Heap::sweep_young`]; see [`Heap::sweep_lazy`].
-    pub fn sweep_young_lazy(&mut self) -> SweepStats {
-        self.sweep_lazy_impl(true)
-    }
-
-    /// Clears every free list, cursor and pending queue ahead of a sweep
-    /// or snapshot, which rebuilds them. Cursors park too under a lazy
-    /// snapshot: a pending block's never-used tail must not serve
-    /// allocations before the block's deferred sweep realizes the snapshot
-    /// (a tail allocation would set an `allocated` bit the sweep would then
-    /// condemn). The deferred sweep re-establishes the cursor.
-    fn reset_sweep_state(&mut self) {
-        for fl in &mut self.free_lists {
-            fl.clear();
-        }
-        self.cursors.fill(None);
-        for q in &mut self.pending_small {
-            q.clear();
-        }
-        self.pending_large.clear();
-        self.pending_blocks = 0;
-    }
-
-    fn sweep_lazy_impl(&mut self, minor: bool) -> SweepStats {
+    pub fn sweep_lazy(&mut self, minor: bool) -> SweepStats {
         self.reset_sweep_state();
         self.pending_minor = minor;
         self.sweep_epoch += 1;
@@ -1305,17 +1208,28 @@ impl Heap {
         for block in self.blocks.iter_mut().flatten() {
             stats.tally(block.sweep_census(minor), block.obj_bytes());
             block.pending = true;
-            match block.shape {
-                BlockShape::Small { class } => {
-                    self.pending_small[fl_index(class, block.kind)].push_back(block.id);
-                }
-                BlockShape::Large { .. } => self.pending_large.push_back(block.id),
+            match small_index(block) {
+                Some(fli) => self.pending_small[fli].push_back(block.id),
+                None => self.pending_large.push_back(block.id),
             }
             self.pending_blocks += 1;
         }
         stats.blocks_deferred = self.pending_blocks;
         self.bytes_live = stats.bytes_live;
         stats
+    }
+
+    /// Clears every free list and pending queue ahead of a sweep or
+    /// snapshot, which rebuilds them.
+    fn reset_sweep_state(&mut self) {
+        for fl in &mut self.free_lists {
+            *fl = FreeList::new(self.config.freelist_policy);
+        }
+        for q in &mut self.pending_small {
+            q.clear();
+        }
+        self.pending_large.clear();
+        self.pending_blocks = 0;
     }
 
     /// Realizes the deferred sweep of one pending block: frees condemned
@@ -1332,8 +1246,8 @@ impl Heap {
         block.pending = false;
         let fates = block.sweep_apply(self.pending_minor);
         let ob = u64::from(block.obj_bytes());
-        if fates.live > 0 {
-            recycle_slots(block, &mut self.free_lists, &mut self.cursors);
+        if let Some(fli) = small_index(block).filter(|_| fates.live > 0) {
+            self.free_lists[fli].add(block, None);
         }
         // `bytes_live` was already re-based by the snapshot; only the
         // realized-work totals move here.
@@ -1349,27 +1263,6 @@ impl Heap {
             self.lazy_totals.blocks_released += 1;
         }
         true
-    }
-
-    /// Sweeps pending blocks of one small (class, kind) pair until its free
-    /// list has a slot or the per-allocation budget is spent. Returns
-    /// `true` if the free list is now non-empty.
-    fn sweep_pending_small(&mut self, fli: usize) -> bool {
-        if self.pending_small[fli].is_empty() {
-            return false;
-        }
-        let t0 = Instant::now();
-        let mut budget = self.config.sweep_budget.max(1);
-        while budget > 0 && !self.small_slot_available(fli) {
-            let Some(id) = self.pending_small[fli].pop_front() else {
-                break;
-            };
-            if self.sweep_pending_block(id) {
-                budget -= 1;
-            }
-        }
-        self.lazy_totals.sweep_time += t0.elapsed();
-        self.small_slot_available(fli)
     }
 
     /// Sweeps up to one budget's worth of pending large blocks, releasing
@@ -1518,16 +1411,10 @@ impl Heap {
             self.page_map
                 .clear(PageIdx::new(block.base().page().raw() + i));
         }
-        // Purge any free-list entries pointing into the released range
-        // (explicit-free path; the sweep path rebuilt lists already).
-        let lo = block.base();
-        let hi = lo + block.npages() * PAGE_BYTES;
-        if let BlockShape::Small { class } = block.shape {
-            let fli = fl_index(class, block.kind);
-            self.free_lists[fli].retain_outside(lo, hi);
-            if self.cursors[fli] == Some(id) {
-                self.cursors[fli] = None;
-            }
+        // Withdraw the block's free slots (explicit-free path; the sweep
+        // path rebuilt the lists already).
+        if let Some(fli) = small_index(&block) {
+            self.free_lists[fli].remove(&block);
         }
         self.release_pages(block.base().page(), block.npages());
     }
@@ -1557,24 +1444,19 @@ impl Heap {
             Some((b, s)) if b.slot_base(s) == addr => (b.id(), s),
             _ => return Err(HeapError::NotAnObject { addr }),
         };
-        let (obj_bytes, unused, small) = {
-            let b = self.block_mut(block);
-            if !b.allocated.get(slot) {
-                return Err(HeapError::DoubleFree { addr });
-            }
-            b.allocated.clear(slot);
-            b.marked.clear(slot);
-            let small = match b.shape {
-                BlockShape::Small { class } => Some((class, b.kind)),
-                BlockShape::Large { .. } => None,
-            };
-            (b.obj_bytes(), b.is_unused(), small)
-        };
-        self.bytes_live -= u64::from(obj_bytes);
-        if unused {
+        let b = self.blocks[block.0 as usize]
+            .as_mut()
+            .expect("block is live");
+        if !b.allocated.get(slot) {
+            return Err(HeapError::DoubleFree { addr });
+        }
+        b.allocated.clear(slot);
+        b.marked.clear(slot);
+        self.bytes_live -= u64::from(b.obj_bytes());
+        if b.is_unused() {
             self.release_block(block);
-        } else if let Some((class, kind)) = small {
-            self.free_lists[fl_index(class, kind)].push(addr);
+        } else if let Some(fli) = small_index(b) {
+            self.free_lists[fli].add(b, Some(slot));
         }
         Ok(())
     }
@@ -1909,7 +1791,7 @@ mod tests {
         let obj_a = heap.object_containing(a).unwrap();
         assert!(heap.set_marked(obj_a));
         assert!(!heap.set_marked(obj_a), "second mark reports already-set");
-        let stats = heap.sweep();
+        let stats = heap.sweep(false);
         assert_eq!(stats.objects_freed, 1);
         assert_eq!(stats.objects_live, 1);
         assert!(heap.object_containing(a).is_some());
@@ -1945,7 +1827,7 @@ mod tests {
         );
         assert!(!heap.set_marked(obj), "exclusive path sees the shared mark");
         assert!(heap.is_marked(obj));
-        let stats = heap.sweep();
+        let stats = heap.sweep(false);
         assert_eq!(stats.objects_live, 1);
     }
 
@@ -1962,7 +1844,7 @@ mod tests {
             .unwrap();
         assert_eq!(heap.stats().blocks, 1);
         heap.clear_marks();
-        let stats = heap.sweep();
+        let stats = heap.sweep(false);
         assert_eq!(stats.blocks_released, 1);
         assert_eq!(heap.stats().blocks, 0);
         assert!(heap.object_containing(a).is_none());
@@ -2161,7 +2043,7 @@ mod lazy_sweep_tests {
                 mark(&mut heap, a);
             }
         }
-        let stats = heap.sweep_lazy();
+        let stats = heap.sweep_lazy(false);
         assert_eq!(stats.objects_freed, 4);
         assert_eq!(stats.bytes_freed, 4 * 16);
         assert_eq!(stats.objects_live, 4);
@@ -2189,7 +2071,7 @@ mod lazy_sweep_tests {
         for &a in addrs.iter().skip(4) {
             mark(&mut heap, a);
         }
-        heap.sweep_lazy();
+        heap.sweep_lazy(false);
         assert_eq!(heap.pending_sweep_blocks(), 1);
         // The next allocation of this class sweeps the pending block and
         // recycles the lowest condemned slot (address-ordered policy).
@@ -2238,9 +2120,9 @@ mod lazy_sweep_tests {
                 }
             }
             let stats = if lazy {
-                heap.sweep_lazy()
+                heap.sweep_lazy(false)
             } else {
-                heap.sweep()
+                heap.sweep(false)
             };
             let swept = if lazy { heap.finish_sweep() } else { 0 };
             let mut live: Vec<u32> = heap.live_objects().map(|o| o.base.raw()).collect();
@@ -2273,7 +2155,7 @@ mod lazy_sweep_tests {
             .unwrap();
         mark(&mut heap, a);
         mark(&mut heap, b);
-        heap.sweep_lazy();
+        heap.sweep_lazy(false);
         assert_eq!(heap.pending_sweep_blocks(), 2);
         heap.alloc(&mut space, 16, ObjectKind::Composite, &mut accept_all)
             .unwrap();
@@ -2299,7 +2181,7 @@ mod lazy_sweep_tests {
             heap.alloc(space, 16, ObjectKind::Composite, &mut accept_all)
                 .unwrap();
         }
-        heap.sweep_lazy();
+        heap.sweep_lazy(false);
         assert_eq!(heap.pending_sweep_blocks(), 12);
         // An 8-page object does not fit in the 4 never-used pages; the
         // allocator must complete the deferred sweep instead of reporting
@@ -2327,7 +2209,7 @@ mod lazy_sweep_tests {
             .alloc(&mut space, 16, ObjectKind::Composite, &mut accept_all)
             .unwrap();
         mark(&mut heap, keep);
-        heap.sweep_lazy();
+        heap.sweep_lazy(false);
         // Freeing an object the collector already condemned reports the
         // same error an eager sweep would: the slot is gone.
         assert_eq!(
@@ -2346,7 +2228,7 @@ mod lazy_sweep_tests {
             .alloc(&mut space, 16, ObjectKind::Composite, &mut accept_all)
             .unwrap();
         mark(&mut heap, a);
-        heap.sweep(); // tenure `a`
+        heap.sweep(false); // tenure `a`
         let young_survivor = heap
             .alloc(&mut space, 16, ObjectKind::Composite, &mut accept_all)
             .unwrap();
@@ -2355,7 +2237,7 @@ mod lazy_sweep_tests {
             .unwrap();
         heap.clear_marks();
         mark(&mut heap, young_survivor);
-        let stats = heap.sweep_young_lazy();
+        let stats = heap.sweep_lazy(true);
         assert_eq!(stats.objects_live, 2, "old `a` + marked young");
         assert_eq!(stats.objects_freed, 1);
         assert_eq!(stats.objects_promoted, 1);
@@ -2380,9 +2262,9 @@ mod lazy_sweep_tests {
             .alloc(&mut space, 16, ObjectKind::Composite, &mut accept_all)
             .unwrap();
         mark(&mut heap, a);
-        heap.sweep_lazy();
+        heap.sweep_lazy(false);
         assert_eq!(heap.pending_sweep_blocks(), 1);
-        let stats = heap.sweep();
+        let stats = heap.sweep(false);
         assert_eq!(heap.pending_sweep_blocks(), 0);
         assert_eq!(stats.objects_live, 1);
         assert_eq!(stats.blocks_deferred, 0);
@@ -2597,7 +2479,7 @@ mod quarantine_tests {
         // Freeing every object releases pages (another epoch bump): a
         // cached "this page has block X" must not outlive the block.
         heap.clear_marks();
-        heap.sweep();
+        heap.sweep(false);
         assert_eq!(
             resolve_cached(&mut heap, a, &mut cache),
             None,

@@ -34,9 +34,9 @@ fn block_table_is_bounded_by_peak_live_blocks() {
         // Nothing marked: every block dies, eagerly or lazily.
         heap.clear_marks();
         if round % 2 == 0 {
-            heap.sweep();
+            heap.sweep(false);
         } else {
-            heap.sweep_lazy();
+            heap.sweep_lazy(false);
         }
         assert!(
             heap.blocks.len() as u32 <= peak,
@@ -63,7 +63,7 @@ fn resolve_cache_never_maps_a_released_page_to_a_reused_id() {
     heap.clear_marks();
     let k = heap.object_containing(keep).unwrap();
     heap.set_marked(k);
-    assert_eq!(heap.sweep().blocks_released, 1);
+    assert_eq!(heap.sweep(false).blocks_released, 1);
     // The next block takes the freed id, on a different page.
     let old_page = doomed.page();
     let mut elsewhere = |p: PageIdx, _: PageUse| p != old_page;
@@ -90,7 +90,7 @@ fn stale_pending_entry_naming_a_reused_id_is_skipped() {
     heap.clear_marks();
     let bo = heap.object_containing(b).unwrap();
     heap.set_marked(bo);
-    heap.sweep_lazy();
+    heap.sweep_lazy(false);
     assert_eq!(heap.pending_sweep_blocks(), 2);
     // Freeing into A realizes its sweep, which releases it; its queue
     // entry stays behind.
@@ -153,4 +153,28 @@ fn growth_at_the_top_of_the_space_fills_what_fits_then_fails() {
             assert!(heap.lo().unwrap() < heap.hi());
         }
     }
+}
+
+#[test]
+fn sizes_near_four_gib_are_out_of_memory_in_every_build() {
+    let (mut space, mut heap) = setup(64);
+    alloc(&mut space, &mut heap, 8);
+    let before = heap.stats();
+    // 0xFFFF_FFFC still rounds to a granule; rounded up, the three sizes
+    // above it do not fit in 32 bits (unchecked, they wrap to 0 in release
+    // builds and map a zero-page block).
+    for bytes in [0xFFFF_FFFC, 0xFFFF_FFFD, 0xFFFF_FFFE, u32::MAX] {
+        for kind in [ObjectKind::Composite, ObjectKind::Atomic] {
+            assert_eq!(
+                heap.alloc(&mut space, bytes, kind, &mut accept_all),
+                Err(HeapError::OutOfMemory {
+                    requested: bytes,
+                    pages_denied: 0,
+                }),
+                "{bytes:#x}"
+            );
+        }
+    }
+    assert_eq!(heap.stats(), before);
+    assert_eq!(heap.stats(), heap.recomputed_stats());
 }

@@ -13,8 +13,9 @@
 //!   fresh page asks the caller whether the page is usable; the collector
 //!   plugs its blacklist in here, so *allocation around blacklisted pages*
 //!   (the paper's key technique) is a first-class operation.
-//! * **Free lists** ([`FreeList`]) with address-ordered and LIFO policies,
-//!   for the paper's fragmentation claim.
+//! * **Free lists** with address-ordered and LIFO policies
+//!   ([`FreeListPolicy`]), for the paper's fragmentation claim. The
+//!   address-ordered list allocates straight from the block bitmaps.
 //! * **An explicit `malloc`/`free` baseline** ([`ExplicitHeap`]) sharing the
 //!   same machinery, for the Zorn-style comparisons.
 //!
@@ -48,7 +49,7 @@ pub use bitmap::{AtomicBitmap, Bitmap};
 pub use block::{Block, BlockId, BlockShape, ObjRef, ObjectKind};
 pub use error::HeapError;
 pub use explicit::ExplicitHeap;
-pub use freelist::{FreeList, FreeListPolicy};
+pub use freelist::FreeListPolicy;
 pub use heap::{
     accept_all, Descriptor, DescriptorId, Heap, HeapConfig, HeapStats, LazySweepStats, MarkBit,
     MarkHit, PagePredicate, PageResolveCache, PageUse, SizeClassCensus, SweepStats,

@@ -1,11 +1,12 @@
 //! Property-based tests for the heap substrate's structural invariants.
 
 use gc_heap::{
-    accept_all, BlockShape, Descriptor, ExplicitHeap, FreeListPolicy, Heap, HeapConfig, MarkBit,
-    MarkHit, ObjectKind, PageResolveCache, SweepStats,
+    accept_all, BlockShape, Descriptor, ExplicitHeap, FreeListPolicy, Heap, HeapConfig, HeapError,
+    MarkBit, MarkHit, ObjectKind, PageResolveCache, PageUse, SizeClass, SweepStats,
 };
-use gc_vmspace::{Addr, AddressSpace, Endian, PAGE_BYTES};
+use gc_vmspace::{Addr, AddressSpace, Endian, PageIdx, PAGE_BYTES};
 use proptest::prelude::*;
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 fn heap(policy: FreeListPolicy) -> (AddressSpace, Heap) {
@@ -133,6 +134,60 @@ fn reference_sweep(heap: &Heap, minor: bool) -> SweepOutcome {
     out
 }
 
+/// The free slot addresses of the realized (not pending) small blocks of
+/// one (size class, kind), and those blocks' base addresses.
+fn realized_free_slots(
+    heap: &Heap,
+    class: SizeClass,
+    kind: ObjectKind,
+) -> (Vec<u32>, HashSet<u32>) {
+    let mut free = Vec::new();
+    let mut bases = HashSet::new();
+    for b in heap.blocks() {
+        let small = matches!(b.shape(), BlockShape::Small { class: c } if *c == class);
+        if small && b.kind() == kind && !b.is_pending_sweep() {
+            bases.insert(b.base().raw());
+            let slots = (0..b.slots()).filter(|&s| !b.is_allocated(s));
+            free.extend(slots.map(|s| b.slot_base(s).raw()));
+        }
+    }
+    (free, bases)
+}
+
+/// Allocates `bytes` of `kind` and checks the address-ordered policy's
+/// allocation order, through public block accessors only. For a small
+/// object:
+/// - afterwards, no realized block of its (size class, kind) holds a free
+///   slot below the returned address;
+/// - its slot comes from a block that was realized before the call,
+///   unless no such block had a free slot (so the allocator took a fresh
+///   block, or one its lazy slow path just swept).
+fn alloc_lowest_free(
+    heap: &mut Heap,
+    space: &mut AddressSpace,
+    bytes: u32,
+    kind: ObjectKind,
+) -> Addr {
+    let class = SizeClass::for_bytes(bytes);
+    let before = class.map(|c| realized_free_slots(heap, c, kind));
+    let addr = heap.alloc(space, bytes, kind, &mut accept_all).unwrap();
+    if let (Some(class), Some((free_before, realized_before))) = (class, before) {
+        let (free_after, _) = realized_free_slots(heap, class, kind);
+        let below: Vec<u32> = free_after.into_iter().filter(|&a| a < addr.raw()).collect();
+        assert!(
+            below.is_empty(),
+            "{addr}: realized free slots below it: {below:x?}"
+        );
+        // A small block is one page.
+        let block = addr.page().base().raw();
+        assert!(
+            realized_before.contains(&block) || free_before.is_empty(),
+            "{addr}: new block while realized slots were free: {free_before:x?}"
+        );
+    }
+    addr
+}
+
 /// Object sizes for the kernel oracle: slot counts that are multiples of
 /// 64 (8 B: 512) and ones that are not (12 B: 341, 24 B: 170, 40 B: 102,
 /// 2048 B: 2), plus large objects.
@@ -188,7 +243,7 @@ proptest! {
                         let obj = heap.object_containing(a).expect("tracked object is live");
                         heap.set_marked(obj);
                     }
-                    let stats = heap.sweep();
+                    let stats = heap.sweep(false);
                     prop_assert_eq!(stats.objects_live, live.len() as u64);
                 }
             }
@@ -279,8 +334,8 @@ proptest! {
                     survivors.push((e, l));
                 }
             }
-            let se = eager.sweep();
-            let sl = lazy.sweep_lazy();
+            let se = eager.sweep(false);
+            let sl = lazy.sweep_lazy(false);
             // The lazy snapshot reports the identical reclamation up
             // front; only the block-release work differs until realized.
             prop_assert_eq!(se.objects_freed, sl.objects_freed);
@@ -334,14 +389,12 @@ proptest! {
     /// `Heap::stats()` answers from incrementally maintained counters;
     /// this pins them to the from-scratch recomputation
     /// ([`Heap::recomputed_stats`]) after every step of a randomized
-    /// alloc/free/sweep trace — eager and lazy, both free-list policies,
-    /// with and without the bump-cursor fast path.
+    /// alloc/free/sweep trace — eager and lazy, both free-list policies.
     #[test]
     fn incremental_stats_match_recomputation(
         ops in proptest::collection::vec(arb_op(), 1..120),
         lifo: bool,
         lazy: bool,
-        bump: bool,
     ) {
         let policy = if lifo { FreeListPolicy::Lifo } else { FreeListPolicy::AddressOrdered };
         let mut space = AddressSpace::new(Endian::Big);
@@ -350,7 +403,6 @@ proptest! {
             max_heap_bytes: 64 << 20,
             growth_pages: 16,
             freelist_policy: policy,
-            bump_alloc: bump,
             sweep_budget: 2,
         });
         let mut live: Vec<Addr> = Vec::new();
@@ -373,7 +425,7 @@ proptest! {
                         let obj = heap.object_containing(a).expect("tracked object is live");
                         heap.set_marked(obj);
                     }
-                    if lazy { heap.sweep_lazy(); } else { heap.sweep(); }
+                    if lazy { heap.sweep_lazy(false); } else { heap.sweep(false); }
                 }
             }
             prop_assert_eq!(heap.stats(), heap.recomputed_stats());
@@ -382,19 +434,19 @@ proptest! {
         prop_assert_eq!(heap.stats(), heap.recomputed_stats());
     }
 
-    /// The bump-cursor fast path is *address-identical* to the old
-    /// prepopulated-free-list path: the same trace run on a `bump_alloc`
-    /// and a non-`bump_alloc` heap returns the same address for every
-    /// allocation — in eager mode and at every lazy sweep budget 1..=4,
-    /// with partial drains leaving cursors and pending blocks active —
-    /// so every liveness view (`live_objects`, `object_containing`,
-    /// censuses) coincides exactly.
+    /// The address-ordered policy's allocation-order oracle, checked
+    /// after every small allocation of a trace with explicit frees, full
+    /// and minor collections swept eagerly or lazily at budgets 1–4, and
+    /// partial drains that leave blocks pending (see
+    /// [`alloc_lowest_free`]).
     #[test]
-    fn bump_cursor_is_address_identical_to_prepopulated(
+    fn allocation_takes_the_lowest_free_slot(
         rounds in proptest::collection::vec(
             (
-                proptest::collection::vec((1u32..4000, any::<bool>()), 1..60),
+                proptest::collection::vec((1u32..3000, any::<bool>()), 1..60),
                 any::<u64>(),
+                any::<bool>(),
+                proptest::collection::vec(any::<usize>(), 0..8),
             ),
             1..4,
         ),
@@ -402,78 +454,45 @@ proptest! {
         budget in 1u32..5,
         lazy: bool,
     ) {
-        let build = |bump_alloc| {
-            let space = AddressSpace::new(Endian::Big);
-            let heap = Heap::new(HeapConfig {
-                heap_base: Addr::new(0x10_0000),
-                max_heap_bytes: 64 << 20,
-                growth_pages: 16,
-                sweep_budget: budget,
-                bump_alloc,
-                ..HeapConfig::default()
-            });
-            (space, heap)
-        };
-        let (mut bs, mut bumpy) = build(true);
-        let (mut ps, mut plain) = build(false);
+        let mut space = AddressSpace::new(Endian::Big);
+        let mut heap = Heap::new(HeapConfig {
+            heap_base: Addr::new(0x10_0000),
+            max_heap_bytes: 64 << 20,
+            growth_pages: 16,
+            sweep_budget: budget,
+            ..HeapConfig::default()
+        });
         let mut live: Vec<Addr> = Vec::new();
-        for (allocs, mark_seed) in rounds {
+        for (allocs, mark_seed, minor, frees) in rounds {
             for (bytes, atomic) in allocs {
                 let kind = if atomic { ObjectKind::Atomic } else { ObjectKind::Composite };
-                let b = bumpy.alloc(&mut bs, bytes, kind, &mut accept_all).unwrap();
-                let p = plain.alloc(&mut ps, bytes, kind, &mut accept_all).unwrap();
-                prop_assert_eq!(b, p, "allocation order diverged");
-                live.push(b);
+                live.push(alloc_lowest_free(&mut heap, &mut space, bytes, kind));
             }
-            bumpy.clear_marks();
-            plain.clear_marks();
-            let survives = |i: usize| {
-                ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ mark_seed)
-                    .count_ones()
-                    .is_multiple_of(2)
-            };
+            heap.clear_marks();
             let mut survivors = Vec::new();
             for (i, &a) in live.iter().enumerate() {
-                if survives(i) {
-                    let bo = bumpy.object_containing(a).expect("tracked object");
-                    bumpy.set_marked(bo);
-                    let po = plain.object_containing(a).expect("tracked object");
-                    plain.set_marked(po);
+                if picked(i, mark_seed) {
+                    let obj = heap.object_containing(a).expect("tracked object");
+                    heap.set_marked(obj);
                     survivors.push(a);
                 }
             }
-            if lazy {
-                bumpy.sweep_lazy();
-                plain.sweep_lazy();
-            } else {
-                bumpy.sweep();
-                plain.sweep();
-            }
+            if lazy { heap.sweep_lazy(minor); } else { heap.sweep(minor); }
             live = survivors;
-            // Partial drain through the slow path: cursors and pending
-            // blocks are both in play while these land.
             for _ in 0..drain {
-                let b = bumpy.alloc(&mut bs, 16, ObjectKind::Composite, &mut accept_all).unwrap();
-                let p = plain.alloc(&mut ps, 16, ObjectKind::Composite, &mut accept_all).unwrap();
-                prop_assert_eq!(b, p, "post-sweep allocation order diverged");
-                live.push(b);
+                live.push(alloc_lowest_free(&mut heap, &mut space, 16, ObjectKind::Composite));
             }
-            // Identical addresses ⇒ the views must agree exactly.
-            let bl: Vec<(u32, u32)> = bumpy.live_objects().map(|o| (o.base.raw(), o.bytes)).collect();
-            let pl: Vec<(u32, u32)> = plain.live_objects().map(|o| (o.base.raw(), o.bytes)).collect();
-            prop_assert_eq!(bl, pl, "live object walks diverged");
-            for &a in &live {
-                prop_assert_eq!(
-                    bumpy.object_containing(a).map(|o| o.base),
-                    plain.object_containing(a).map(|o| o.base)
-                );
+            // Survivors free cleanly, realizing their block's sweep first
+            // when it is still pending.
+            for i in frees {
+                if !live.is_empty() {
+                    heap.free_object(live.swap_remove(i % live.len())).unwrap();
+                }
             }
-            prop_assert_eq!(bumpy.generation_census(), plain.generation_census());
-            check_lazy_census_consistency(&bumpy);
+            check_lazy_census_consistency(&heap);
         }
-        bumpy.finish_sweep();
-        plain.finish_sweep();
-        prop_assert_eq!(bumpy.stats(), plain.stats(), "settled accounting diverged");
+        heap.finish_sweep();
+        prop_assert_eq!(heap.stats(), heap.recomputed_stats());
     }
 
     /// The word-at-a-time sweep kernel decides exactly what the old
@@ -530,12 +549,7 @@ proptest! {
                 }
             }
             let want = reference_sweep(&heap, minor);
-            let stats: SweepStats = match (lazy, minor) {
-                (false, false) => heap.sweep(),
-                (false, true) => heap.sweep_young(),
-                (true, false) => heap.sweep_lazy(),
-                (true, true) => heap.sweep_young_lazy(),
-            };
+            let stats: SweepStats = if lazy { heap.sweep_lazy(minor) } else { heap.sweep(minor) };
             prop_assert_eq!(
                 (stats.objects_freed, stats.objects_live, stats.objects_promoted),
                 (want.freed, want.live, want.promoted)
@@ -668,12 +682,11 @@ fn kernel_heap(rounds: &[KernelRound], pending: bool, premark: u64) -> (Heap, Ve
         }
         heap.clear_marks();
         mark_picked(&mut heap, &bases, *mark_seed);
-        match (lazy, minor) {
-            (false, false) => heap.sweep(),
-            (false, true) => heap.sweep_young(),
-            (true, false) => heap.sweep_lazy(),
-            (true, true) => heap.sweep_young_lazy(),
-        };
+        if *lazy {
+            heap.sweep_lazy(*minor);
+        } else {
+            heap.sweep(*minor);
+        }
     }
     if !(pending && heap.pending_sweep_blocks() > 0) {
         heap.clear_marks();
@@ -805,6 +818,99 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Heap bases at the bottom and the top of the 32-bit space, the last one
+/// inside the top page.
+const EDGE_BASES: [u32; 4] = [0x10_0000, 0xFFF0_0000, 0xFFFF_0000, 0xFFFF_F800];
+
+/// Heap limits: none, less than a page, one page, 16 pages.
+const EDGE_LIMITS: [u64; 4] = [0, 4095, 4096, 64 << 10];
+
+/// Request sizes at the edges: zero, one, each size class and one byte
+/// more, a page and its neighbours, and the last four 32-bit sizes.
+fn edge_sizes() -> Vec<u32> {
+    let mut sizes = vec![0, 1, PAGE_BYTES - 1, PAGE_BYTES, PAGE_BYTES + 1];
+    sizes.extend(SizeClass::all().flat_map(|c| [c.bytes(), c.bytes() + 1]));
+    sizes.extend(0xFFFF_FFFC..=u32::MAX);
+    sizes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Edge inputs end in a result, never a panic or a wrapped address:
+    /// every allocation returns an in-range object that overlaps no other,
+    /// `ZeroSized`, or `OutOfMemory` — which names the pages it was denied
+    /// whenever the predicate saw pages and rejected them all — and the
+    /// incremental stats match their recomputation after every step.
+    #[test]
+    fn edge_inputs_return_errors_not_panics(
+        base in 0usize..EDGE_BASES.len(),
+        limit in 0usize..EDGE_LIMITS.len(),
+        ops in proptest::collection::vec((any::<usize>(), any::<bool>(), 0u8..10), 1..60),
+        deny_all: bool,
+        lifo: bool,
+        lazy: bool,
+    ) {
+        let sizes = edge_sizes();
+        let mut space = AddressSpace::new(Endian::Big);
+        let mut heap = Heap::new(HeapConfig {
+            heap_base: Addr::new(EDGE_BASES[base]),
+            max_heap_bytes: EDGE_LIMITS[limit],
+            growth_pages: 4,
+            freelist_policy: if lifo { FreeListPolicy::Lifo } else { FreeListPolicy::AddressOrdered },
+            sweep_budget: 1,
+        });
+        let offered = Cell::new(0u32);
+        let mut pred = |_: PageIdx, _: PageUse| {
+            offered.set(offered.get() + 1);
+            !deny_all
+        };
+        let mut live: Vec<Addr> = Vec::new();
+        for (pick, atomic, action) in ops {
+            match action {
+                0 => {
+                    heap.clear_marks();
+                    for &a in &live {
+                        let obj = heap.object_containing(a).expect("tracked object is live");
+                        heap.set_marked(obj);
+                    }
+                    if lazy { heap.sweep_lazy(false); } else { heap.sweep(false); }
+                }
+                1 if !live.is_empty() => {
+                    heap.free_object(live.swap_remove(pick % live.len())).unwrap();
+                }
+                _ => {
+                    let bytes = sizes[pick % sizes.len()];
+                    let kind = if atomic { ObjectKind::Atomic } else { ObjectKind::Composite };
+                    let offered_before = offered.get();
+                    match heap.alloc(&mut space, bytes, kind, &mut pred) {
+                        Ok(addr) => {
+                            let obj = heap.object_containing(addr).expect("new object resolves");
+                            prop_assert_eq!(obj.base, addr);
+                            prop_assert!(obj.bytes >= bytes);
+                            prop_assert!(heap.in_heap_range(addr));
+                            let end = u64::from(addr.raw()) + u64::from(obj.bytes);
+                            prop_assert!(end <= (1 << 32) - u64::from(PAGE_BYTES), "{addr} + {}", obj.bytes);
+                            live.push(addr);
+                        }
+                        Err(HeapError::ZeroSized) => prop_assert_eq!(bytes, 0),
+                        Err(HeapError::OutOfMemory { requested, pages_denied }) => {
+                            prop_assert!(bytes > 0);
+                            prop_assert!(requested >= bytes);
+                            if deny_all && offered.get() > offered_before {
+                                prop_assert!(pages_denied > 0, "{bytes:#x}: every offered page was denied");
+                            }
+                        }
+                        Err(e) => panic!("{bytes:#x}: unexpected error {e}"),
+                    }
+                }
+            }
+            check_invariants(&heap);
+            prop_assert_eq!(heap.stats(), heap.recomputed_stats());
         }
     }
 }

@@ -169,7 +169,7 @@ fn randomized_full_collections_are_sweep_strategy_invariant() {
 
 #[test]
 fn randomized_generational_collections_are_sweep_strategy_invariant() {
-    // Minor collections take the sweep_young_lazy path, where pending
+    // Minor collections take the `sweep_lazy(true)` path, where pending
     // survivors must census as tenured before the deferred sweep promotes
     // them for real.
     for seed in [5u64, 29] {

@@ -153,7 +153,6 @@ fn metrics_json_snapshot_has_the_documented_schema() {
         "\"alloc_slow_path_ns\":",
         "\"fast_path_allocs\":",
         "\"slow_path_allocs\":",
-        "\"bump_alloc\":",
         "\"p50\":",
         "\"p95\":",
         "\"p99\":",
