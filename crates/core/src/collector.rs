@@ -8,8 +8,8 @@ use crate::{
     GcError, GcStats, MarkWorkerStats, ParallelMarkStats, Retainer, RootClass, MAX_MARK_THREADS,
 };
 use gc_heap::{
-    Descriptor, DescriptorId, Heap, HeapError, LazySweepStats, ObjRef, ObjectKind, PageUse,
-    SweepStats,
+    Descriptor, DescriptorId, Heap, HeapError, LazySweepStats, ObjRef, ObjectKind,
+    PageResolveCache, PageUse, SweepStats,
 };
 use gc_vmspace::{Addr, AddressSpace, PageIdx, PAGE_BYTES};
 use std::collections::{HashMap, HashSet};
@@ -89,6 +89,9 @@ struct IncState {
     reason: CollectReason,
     blacklist_before: u32,
     stack: Vec<ObjRef>,
+    /// The page-resolve cache, carried from increment to increment and
+    /// into the finish so each marker starts warm.
+    cache: Option<PageResolveCache>,
     out: MarkOutcome,
     started: Instant,
     /// Phase time accumulated across the cycle's increments so far.
@@ -509,11 +512,13 @@ impl Collector {
                 marker.run_roots_only();
                 let stack = marker.take_stack();
                 let out = marker.outcome();
+                let cache = marker.take_cache();
                 self.inc = Some(IncState {
                     gc_no,
                     reason,
                     blacklist_before,
                     stack,
+                    cache,
                     out,
                     started: t0,
                     phases: PhaseTimes {
@@ -532,9 +537,11 @@ impl Collector {
                 let mut marker =
                     Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
                 marker.set_stack(std::mem::take(&mut state.stack));
+                marker.set_cache(state.cache.take());
                 let done = marker.drain_budget(self.config.incremental_budget);
                 state.stack = marker.take_stack();
                 state.out.merge(marker.outcome());
+                state.cache = marker.take_cache();
                 state.phases.mark += t0.elapsed();
                 (done, state.gc_no)
             }
@@ -565,6 +572,7 @@ impl Collector {
             gc_no,
             reason,
             blacklist_before,
+            cache,
             out: mut acc,
             started,
             mut phases,
@@ -574,6 +582,7 @@ impl Collector {
         {
             let mut marker =
                 Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
+            marker.set_cache(cache);
             // The finish's root and dirty-page rescan plus final drain all
             // count as marking: they complete the tracing the increments
             // started.
@@ -1151,6 +1160,28 @@ mod tests {
     /// The `i`-th word of the static segment mapped by `setup`.
     fn root_slot(i: u32) -> Addr {
         Addr::new(0x1_0000) + i * 4
+    }
+
+    #[test]
+    fn page_table_bytes_scale_with_the_heap() {
+        let mut gc = setup(GcConfig {
+            min_bytes_between_gcs: u64::MAX,
+            ..small_config()
+        });
+        while gc.heap().stats().mapped_pages < 256 {
+            gc.alloc(4000, ObjectKind::Atomic).unwrap();
+        }
+        let json = gc.metrics_json();
+        let key = "\"page_table_bytes\":";
+        let at = json.find(key).expect("heap reports its page table") + key.len();
+        let digits: String = json[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        let bytes: usize = digits.parse().unwrap();
+        assert_eq!(bytes, gc.heap().page_table_bytes());
+        // A 1 MiB heap: one 4-byte entry per page, not a whole-space map.
+        assert!((256 * 4..=8 << 10).contains(&bytes), "{bytes} bytes");
     }
 
     #[test]
@@ -1896,6 +1927,10 @@ mod incremental_tests {
     use gc_vmspace::{Endian, SegmentKind, SegmentSpec};
 
     fn inc_collector(budget: u32) -> Collector {
+        inc_collector_with(budget, |_| {})
+    }
+
+    fn inc_collector_with(budget: u32, tweak: impl FnOnce(&mut GcConfig)) -> Collector {
         let mut space = AddressSpace::new(Endian::Big);
         space
             .map(SegmentSpec::new(
@@ -1905,21 +1940,20 @@ mod incremental_tests {
                 4096,
             ))
             .unwrap();
-        Collector::new(
-            space,
-            GcConfig {
-                heap: HeapConfig {
-                    heap_base: Addr::new(0x10_0000),
-                    max_heap_bytes: 32 << 20,
-                    growth_pages: 16,
-                    ..HeapConfig::default()
-                },
-                incremental: true,
-                incremental_budget: budget,
-                min_bytes_between_gcs: u64::MAX,
-                ..GcConfig::default()
+        let mut config = GcConfig {
+            heap: HeapConfig {
+                heap_base: Addr::new(0x10_0000),
+                max_heap_bytes: 32 << 20,
+                growth_pages: 16,
+                ..HeapConfig::default()
             },
-        )
+            incremental: true,
+            incremental_budget: budget,
+            min_bytes_between_gcs: u64::MAX,
+            ..GcConfig::default()
+        };
+        tweak(&mut config);
+        Collector::new(space, config)
     }
 
     const ROOT: Addr = Addr::new(0x1_0000);
@@ -1981,6 +2015,47 @@ mod incremental_tests {
         assert!(
             gc.is_live(hidden),
             "dirty-page rescan found the hidden pointer"
+        );
+    }
+
+    #[test]
+    fn dirty_rescan_leaves_unmarked_garbage_unscanned() {
+        let mut gc = inc_collector(64);
+        build_chain(&mut gc, 100);
+        // Unreachable a → b.
+        let a = gc.alloc(8, ObjectKind::Composite).unwrap();
+        let b = gc.alloc(8, ObjectKind::Composite).unwrap();
+        gc.space_mut().write_u32(a, b.raw()).unwrap();
+        assert!(gc.collect_increment(CollectReason::Explicit).is_none());
+        // Dirtying a's page must not make its unmarked objects roots.
+        gc.space_mut().write_u32(a + 4, 7).unwrap();
+        gc.record_write(a + 4);
+        run_cycle(&mut gc);
+        assert!(!gc.is_live(a));
+        assert!(
+            !gc.is_live(b),
+            "garbage reachable only from garbage on a dirty page is freed"
+        );
+    }
+
+    #[test]
+    fn resolve_cache_carries_across_increments() {
+        let mut gc = inc_collector_with(8, |c| c.resolve_cache = true);
+        build_chain(&mut gc, 2000);
+        let stats = run_cycle(&mut gc);
+        assert!(gc.stats().increments >= 10, "{}", gc.stats().increments);
+        // Each candidate is one lookup, counted once however many markers
+        // the carried cache passed through.
+        assert_eq!(
+            stats.resolve_hits + stats.resolve_misses,
+            stats.candidates_in_range
+        );
+        // A cold cache per increment would miss at least once each.
+        assert!(
+            stats.resolve_misses * 20 < stats.candidates_in_range,
+            "{} misses of {}",
+            stats.resolve_misses,
+            stats.candidates_in_range
         );
     }
 

@@ -206,7 +206,7 @@ pub struct GcConfig {
     /// resolution in the mark phase (one cache in the serial marker,
     /// one per worker in a parallel drain). Bit-identical to the uncached
     /// path — same mark set, counters, blacklist contents — the cache only
-    /// skips repeated page-map walks for same-page candidates; its
+    /// skips repeated page-table walks for same-page candidates; its
     /// hit/miss counts are surfaced in
     /// [`CollectionStats`](crate::CollectionStats) and the metrics
     /// snapshot. The default honours the `GC_RESOLVE_CACHE` environment

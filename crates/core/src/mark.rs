@@ -36,7 +36,7 @@ pub(crate) struct MarkOutcome {
     pub bytes_marked: u64,
     /// Candidate resolutions answered by the page-resolve cache.
     pub resolve_hits: u64,
-    /// Cached resolutions that had to walk the page map anyway (cold
+    /// Cached resolutions that had to walk the page table anyway (cold
     /// entry, conflict eviction, or epoch flush). Both counters stay 0
     /// with the cache disabled.
     pub resolve_misses: u64,
@@ -155,6 +155,10 @@ pub(crate) struct Marker<'a> {
     minor: bool,
     /// Page-resolve cache ([`GcConfig::resolve_cache`]); `None` = off.
     cache: Option<PageResolveCache>,
+    /// The cache's cumulative (hits, misses) when this marker took it: a
+    /// cache carried across an incremental cycle's increments arrives warm
+    /// and already counted.
+    cache_base: (u64, u64),
     /// Private segment hint for object scans (see
     /// [`scan_object_fields`]) — keeps this marker's loops off the
     /// address space's shared lookup cache.
@@ -200,20 +204,37 @@ impl<'a> Marker<'a> {
             stack: Vec::new(),
             minor: false,
             cache: config.resolve_cache.then(PageResolveCache::new),
+            cache_base: (0, 0),
             hint: SegmentHint::new(),
             out: MarkOutcome::default(),
         }
     }
 
-    /// The phase's counters with the resolve cache's hit/miss totals
-    /// folded in — what the collector should read instead of `out`.
+    /// The phase's counters with this marker's resolve-cache hits and
+    /// misses folded in — what the collector should read instead of `out`.
     pub(crate) fn outcome(&self) -> MarkOutcome {
         let mut out = self.out;
         if let Some(cache) = &self.cache {
-            out.resolve_hits = cache.hits();
-            out.resolve_misses = cache.misses();
+            out.resolve_hits = cache.hits() - self.cache_base.0;
+            out.resolve_misses = cache.misses() - self.cache_base.1;
         }
         out
+    }
+
+    /// Resumes with a resolve cache an earlier marker of the same
+    /// incremental cycle surrendered ([`take_cache`](Marker::take_cache));
+    /// `None` (the cache is off) changes nothing. The cache's epoch check
+    /// makes it safe to carry across the mutator's allocations in between.
+    pub(crate) fn set_cache(&mut self, cache: Option<PageResolveCache>) {
+        if let Some(cache) = cache {
+            self.cache_base = (cache.hits(), cache.misses());
+            self.cache = Some(cache);
+        }
+    }
+
+    /// Surrenders the resolve cache (pausing an incremental cycle).
+    pub(crate) fn take_cache(&mut self) -> Option<PageResolveCache> {
+        self.cache.take()
     }
 
     /// Switches the marker to minor (young-only) mode.
@@ -249,8 +270,12 @@ impl<'a> Marker<'a> {
 
     /// Scans the fields of composite objects on the given pages; with
     /// `only_old`, restricted to the old generation (minor collections),
-    /// otherwise every live composite object (the incremental finish
-    /// phase's dirty rescan).
+    /// otherwise to the *marked* objects (the incremental finish phase's
+    /// dirty rescan, bdwgc's `GC_push_marked`). An unmarked object on a
+    /// dirty page is not known reachable, and scanning it would retain
+    /// whatever it points to. Rescanning only marked ones is enough: every
+    /// black object written after its scan lies on a dirty page, and the
+    /// finish rescans the roots.
     pub(crate) fn scan_pages(
         &mut self,
         pages: impl IntoIterator<Item = gc_vmspace::PageIdx>,
@@ -268,7 +293,12 @@ impl<'a> Marker<'a> {
         let heap = self.heap;
         for page in pages {
             for obj in heap.objects_on_page(page) {
-                if obj.kind == ObjectKind::Composite && (!only_old || heap.is_old(obj)) {
+                let wanted = if only_old {
+                    heap.is_old(obj)
+                } else {
+                    heap.is_marked(obj)
+                };
+                if obj.kind == ObjectKind::Composite && wanted {
                     self.scan(obj);
                 }
             }

@@ -152,10 +152,10 @@ pub struct CollectionStats {
     /// Bytes marked live.
     pub bytes_marked: u64,
     /// Candidate resolutions the mark phase's page-resolve cache answered
-    /// without a page-map walk (summed over all workers; 0 with
+    /// without a page-table walk (summed over all workers; 0 with
     /// [`GcConfig::resolve_cache`](crate::GcConfig::resolve_cache) off).
     pub resolve_hits: u64,
-    /// Cached candidate resolutions that walked the page map anyway (cold
+    /// Cached candidate resolutions that walked the page table anyway (cold
     /// or evicted entries; 0 with the cache off).
     pub resolve_misses: u64,
     /// Finalizable objects that became ready this cycle.

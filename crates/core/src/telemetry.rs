@@ -55,7 +55,10 @@ use std::time::Duration;
 /// allocations that did / did not trigger collection work), and the same
 /// two fields on `last_collection` as deltas since the previous
 /// collection. Version 6 removed the allocation-path switch from `config`.
-pub const METRICS_SCHEMA_VERSION: u32 = 6;
+///
+/// Version 7 added `heap.page_table_bytes`: the heap's per-page metadata,
+/// which grows with the heap's span rather than the address space's.
+pub const METRICS_SCHEMA_VERSION: u32 = 7;
 
 // ---------------------------------------------------------------------------
 // Phase timings
@@ -818,7 +821,7 @@ pub(crate) fn metrics_json(gc: &Collector) -> String {
         })
         .collect();
     let heap = format!(
-        "{{\"mapped_pages\":{},\"free_pages\":{},\"quarantined_pages\":{},\"largest_free_run\":{},\"blocks\":{},\"bytes_live\":{},\"bytes_allocated_total\":{},\"bytes_since_collect\":{},\"size_classes\":[{}]}}",
+        "{{\"mapped_pages\":{},\"free_pages\":{},\"quarantined_pages\":{},\"largest_free_run\":{},\"blocks\":{},\"bytes_live\":{},\"bytes_allocated_total\":{},\"bytes_since_collect\":{},\"page_table_bytes\":{},\"size_classes\":[{}]}}",
         heap_stats.mapped_pages,
         heap_stats.free_pages,
         gc.heap().quarantined_pages(),
@@ -827,6 +830,7 @@ pub(crate) fn metrics_json(gc: &Collector) -> String {
         heap_stats.bytes_live,
         heap_stats.bytes_allocated_total,
         heap_stats.bytes_since_collect,
+        gc.heap().page_table_bytes(),
         census.join(","),
     );
 

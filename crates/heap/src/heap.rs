@@ -10,41 +10,111 @@ use gc_vmspace::{Addr, AddressSpace, PageIdx, SegmentKind, SegmentSpec, PAGE_BYT
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
-/// Flat page-index → block-id map covering the whole 2^20-page space.
+/// The heap's page table: one entry per page of the heap's own span, from
+/// `heap_base`'s page up to the heap break, each holding the page's block
+/// id and its never-written ("clean") bit.
+///
+/// **Invariant:** the heap maps only upward from `heap_base` —
+/// `next_expansion` starts there and only grows, and released pages are
+/// recycled in place — so every heap page lies in `[first, first + len)`
+/// and the table grows only at its end ([`PageTable::extend`]). A
+/// lookup outside the span (below the base, at or past the break, or in a
+/// foreign segment the growth path jumped over) resolves to "no block"
+/// without an entry. Writing a page below the base is a heap bug and
+/// fails loudly in debug builds.
+///
+/// Its size follows the heap's span, 4 bytes a page, not the 4 GiB space.
 #[derive(Debug)]
-struct PageMap {
+struct PageTable {
+    /// Page index of entry 0: `heap_base.page()`.
+    first: u32,
+    /// Per page: [`PageTable::CLEAN`] | block id (low 31 bits), with
+    /// [`PageTable::NONE`] for "no block".
     slots: Vec<u32>,
-    /// Bumped on every mutation; [`PageResolveCache`] entries are valid
-    /// only for the epoch they were filled under. Block ids are recycled,
-    /// so this is also what keeps a cached page → id entry from naming a
-    /// different block after its own was released and its id reused.
+    /// Bumped on every block-id mutation; [`PageResolveCache`] entries are
+    /// valid only for the epoch they were filled under. Block ids are
+    /// recycled, so this is also what keeps a cached page → id entry from
+    /// naming a different block after its own was released and its id
+    /// reused. Growing the span and flipping clean bits change no page's
+    /// answer, so they leave the epoch alone.
     epoch: u64,
 }
 
-impl PageMap {
-    const NONE: u32 = u32::MAX;
+impl PageTable {
+    /// The clean bit: the page has never been written since the address
+    /// space mapped (and zero-initialized) it.
+    const CLEAN: u32 = 1 << 31;
+    /// The block-id bits; block ids are bounded by the page count (< 2^20).
+    const ID: u32 = Self::CLEAN - 1;
+    /// The block-id value for "no block".
+    const NONE: u32 = Self::ID;
 
-    fn new() -> Self {
-        PageMap {
-            slots: vec![Self::NONE; 1 << 20],
+    fn new(heap_base: Addr) -> Self {
+        PageTable {
+            first: heap_base.page().raw(),
+            slots: Vec::new(),
             epoch: 0,
         }
     }
 
+    /// The entry index of `page`; pages below the base wrap to indices
+    /// past any table's end.
+    #[inline]
+    fn index(&self, page: PageIdx) -> usize {
+        page.raw().wrapping_sub(self.first) as usize
+    }
+
+    /// The entry of a heap page, for writing.
+    fn slot_mut(&mut self, page: PageIdx) -> &mut u32 {
+        debug_assert!(
+            page.raw() >= self.first,
+            "page {page:?} lies below the heap base page {:#x}",
+            self.first
+        );
+        let i = self.index(page);
+        &mut self.slots[i]
+    }
+
     #[inline]
     fn get(&self, page: PageIdx) -> Option<BlockId> {
-        let v = self.slots[page.raw() as usize];
+        let v = *self.slots.get(self.index(page))? & Self::ID;
         (v != Self::NONE).then_some(BlockId(v))
     }
 
+    /// Maps `page` to block `id` and clears its clean bit: a block's pages
+    /// get written.
     fn set(&mut self, page: PageIdx, id: BlockId) {
-        self.slots[page.raw() as usize] = id.0;
+        debug_assert!(id.0 < Self::NONE, "block id {} overflows the table", id.0);
+        *self.slot_mut(page) = id.0;
         self.epoch += 1;
     }
 
+    /// Unmaps a released block's page; it was written, so it is not clean.
     fn clear(&mut self, page: PageIdx) {
-        self.slots[page.raw() as usize] = Self::NONE;
+        *self.slot_mut(page) = Self::NONE;
         self.epoch += 1;
+    }
+
+    /// Grows the span to the new heap break `end` after the heap mapped
+    /// `[mapped, end)`: every new page is block-free, and the freshly
+    /// mapped (zero-initialized) ones are clean. Pages between the old
+    /// break and `mapped` belong to a foreign segment the growth path
+    /// jumped over.
+    fn extend(&mut self, mapped: PageIdx, end: PageIdx) {
+        debug_assert!(
+            self.index(mapped) >= self.slots.len(),
+            "the break only rises"
+        );
+        self.slots.resize(self.index(mapped), Self::NONE);
+        self.slots.resize(self.index(end), Self::NONE | Self::CLEAN);
+    }
+
+    /// Is every page of `[first, first + n)` still clean?
+    fn all_clean(&self, first: PageIdx, n: u32) -> bool {
+        let i = self.index(first);
+        self.slots[i..i + n as usize]
+            .iter()
+            .all(|&v| v & Self::CLEAN != 0)
     }
 }
 
@@ -59,12 +129,12 @@ const RESOLVE_CACHE_ENTRIES: usize = 256;
 /// Candidate pointers cluster heavily by page — a block's objects are
 /// contiguous, and the mark stack drains neighbours together — so most
 /// lookups hit the page the cache already resolved. An entry caches the
-/// page-map answer *including* "no block here" (misses are as clustered as
+/// page-table answer *including* "no block here" (misses are as clustered as
 /// hits: think integers just past the heap break).
 ///
 /// Correctness does not depend on any invalidation callback: every entry
-/// records the page-map **epoch** it was filled under, and the page map
-/// bumps its epoch on every mutation (block creation, growth, release).
+/// records the page-table **epoch** it was filled under, and the page table
+/// bumps its epoch on every block-id change (block creation, release).
 /// A lookup whose stored epoch disagrees with the heap's current epoch is
 /// treated as a miss and refilled, so a cache may be carried across
 /// collections, sweeps, and heap growth without ever returning a stale
@@ -74,9 +144,10 @@ const RESOLVE_CACHE_ENTRIES: usize = 256;
 pub struct PageResolveCache {
     /// Cached page index per entry; `u32::MAX` = empty (pages are < 2^20).
     tags: [u32; RESOLVE_CACHE_ENTRIES],
-    /// Cached raw block id per entry; `u32::MAX` = "page has no block".
+    /// Cached raw block id per entry; [`PageTable::NONE`] = "page has no
+    /// block".
     vals: [u32; RESOLVE_CACHE_ENTRIES],
-    /// Page-map epoch the entries were filled under.
+    /// Page-table epoch the entries were filled under.
     epoch: u64,
     hits: u64,
     misses: u64,
@@ -106,28 +177,28 @@ impl PageResolveCache {
         self.hits
     }
 
-    /// Lookups that had to walk the page map (including epoch flushes).
+    /// Lookups that had to walk the page table (including epoch flushes).
     pub fn misses(&self) -> u64 {
         self.misses
     }
 
-    /// The page-map answer for `page`, from the cache when current.
+    /// The page-table answer for `page`, from the cache when current.
     #[inline]
-    fn block_for(&mut self, page: PageIdx, map: &PageMap) -> Option<BlockId> {
-        if self.epoch != map.epoch {
+    fn block_for(&mut self, page: PageIdx, table: &PageTable) -> Option<BlockId> {
+        if self.epoch != table.epoch {
             self.tags = [u32::MAX; RESOLVE_CACHE_ENTRIES];
-            self.epoch = map.epoch;
+            self.epoch = table.epoch;
         }
         let slot = page.raw() as usize & (RESOLVE_CACHE_ENTRIES - 1);
         if self.tags[slot] == page.raw() {
             self.hits += 1;
             let v = self.vals[slot];
-            return (v != PageMap::NONE).then_some(BlockId(v));
+            return (v != PageTable::NONE).then_some(BlockId(v));
         }
         self.misses += 1;
-        let id = map.get(page);
+        let id = table.get(page);
         self.tags[slot] = page.raw();
-        self.vals[slot] = id.map_or(PageMap::NONE, |b| b.0);
+        self.vals[slot] = id.map_or(PageTable::NONE, |b| b.0);
         id
     }
 }
@@ -347,9 +418,10 @@ pub struct Heap {
     /// length (and every whole-table walk: `clear_marks`, the sweeps) is
     /// bounded by the peak live block count, not by every block ever made.
     free_ids: Vec<u32>,
-    /// Flat page → block map (4 MiB for the full 2^20-page space); flat
-    /// indexing keeps the mark phase's candidate lookups cheap.
-    page_map: PageMap,
+    /// Page → block id and clean bit over the heap's span (see
+    /// [`PageTable`]); direct indexing keeps the mark phase's candidate
+    /// lookups cheap.
+    page_table: PageTable,
     /// Mapped, block-free page runs: first page index → run length, coalesced.
     free_runs: BTreeMap<u32, u32>,
     /// Pages a placement predicate rejected, parked off the free-run path
@@ -380,11 +452,6 @@ pub struct Heap {
     run_lengths: BTreeMap<u32, u32>,
     /// Live block count, maintained incrementally.
     block_count: u32,
-    /// One bit per page: set while the page has never been written since
-    /// the address space mapped (and zero-initialized) it. Cleared when a
-    /// block is created over the page; blocks created entirely on clean
-    /// pages skip the per-allocation zero fill for never-used slots.
-    clean_pages: Vec<u64>,
     next_expansion: Addr,
     /// The most recent heap segment and its end, for contiguous in-place
     /// extension (a multi-page object may span expansion increments, so
@@ -469,7 +536,7 @@ impl Heap {
             config,
             blocks: Vec::new(),
             free_ids: Vec::new(),
-            page_map: PageMap::new(),
+            page_table: PageTable::new(heap_base),
             free_runs: BTreeMap::new(),
             quarantined: Vec::new(),
             quarantine_scan: 0,
@@ -477,7 +544,6 @@ impl Heap {
             free_run_pages: 0,
             run_lengths: BTreeMap::new(),
             block_count: 0,
-            clean_pages: vec![0; (1 << 20) / 64],
             mapped_pages: 0,
             bytes_live: 0,
             bytes_allocated_total: 0,
@@ -521,7 +587,7 @@ impl Heap {
     /// allocated slot whose object was allocated typed: a page lookup and
     /// an index into the block's descriptor side table.
     pub fn descriptor_of(&self, base: Addr) -> Option<&Descriptor> {
-        let block = self.block(self.page_map.get(base.page())?)?;
+        let block = self.block(self.page_table.get(base.page())?)?;
         Some(&self.descriptors[block.descriptor_at(base)? as usize])
     }
 
@@ -632,8 +698,8 @@ impl Heap {
 
     /// Takes the next free slot of `fli` per the free-list policy.
     fn pop_small_slot(&mut self, fli: usize) -> Option<(BlockId, u32)> {
-        let page_map = &self.page_map;
-        self.free_lists[fli].pop(&self.blocks, |addr| page_map.get(addr.page()))
+        let page_table = &self.page_table;
+        self.free_lists[fli].pop(&self.blocks, |addr| page_table.get(addr.page()))
     }
 
     /// Lazy sweeping's slow path for an empty free list: sweeps pending
@@ -712,9 +778,8 @@ impl Heap {
         };
         let id = self.new_block_id();
         let mut block = Block::new_small(id, page.base(), class, kind);
-        block.zeroed = self.pages_clean(page, 1);
-        self.page_map.set(page, id);
-        self.clear_pages_clean(page, 1);
+        block.zeroed = self.page_table.all_clean(page, 1);
+        self.page_table.set(page, id);
         self.install_block(block);
         let allocated = self.finish_alloc(space, id, 0)?;
         let block = self.blocks[id.0 as usize].as_ref().expect("block is live");
@@ -759,11 +824,10 @@ impl Heap {
             })?;
         let id = self.new_block_id();
         let mut block = Block::new_large(id, first_page.base(), obj_bytes, kind);
-        block.zeroed = self.pages_clean(first_page, npages);
+        block.zeroed = self.page_table.all_clean(first_page, npages);
         for i in 0..npages {
-            self.page_map.set(PageIdx::new(first_page.raw() + i), id);
+            self.page_table.set(PageIdx::new(first_page.raw() + i), id);
         }
-        self.clear_pages_clean(first_page, npages);
         self.install_block(block);
         self.finish_alloc(space, id, 0)
     }
@@ -810,25 +874,6 @@ impl Heap {
         self.bytes_since_collect += u64::from(obj_bytes);
         self.objects_allocated_total += 1;
         Ok((addr, id, slot))
-    }
-
-    /// Is every page of `[first, first+n)` still in its never-written,
-    /// zero-initialized state?
-    fn pages_clean(&self, first: PageIdx, n: u32) -> bool {
-        (first.raw()..first.raw() + n)
-            .all(|p| self.clean_pages[p as usize / 64] >> (p % 64) & 1 == 1)
-    }
-
-    fn set_pages_clean(&mut self, first: PageIdx, n: u32) {
-        for p in first.raw()..first.raw() + n {
-            self.clean_pages[p as usize / 64] |= 1 << (p % 64);
-        }
-    }
-
-    fn clear_pages_clean(&mut self, first: PageIdx, n: u32) {
-        for p in first.raw()..first.raw() + n {
-            self.clean_pages[p as usize / 64] &= !(1 << (p % 64));
-        }
     }
 
     /// Takes one acceptable page, parking rejected pages in the quarantine
@@ -1019,13 +1064,13 @@ impl Heap {
                 Err(e) => return Err(e.into()),
             }
         };
-        self.release_pages(base.page(), want);
+        let end = base + want * PAGE_BYTES;
         // `map`/`extend` zero-initialize, so the new pages start clean:
         // the first block carved from them may skip per-allocation fills.
-        self.set_pages_clean(base.page(), want);
+        self.page_table.extend(base.page(), end.page());
+        self.release_pages(base.page(), want);
         self.mapped_pages += want;
         self.heap_lo = Some(self.heap_lo.map_or(base, |lo| lo.min(base)));
-        let end = base + want * PAGE_BYTES;
         self.heap_hi = self.heap_hi.max(end);
         self.next_expansion = end;
         Ok(true)
@@ -1042,7 +1087,7 @@ impl Heap {
     }
 
     fn slot_of(&self, addr: Addr) -> Option<(&Block, u32)> {
-        let id = self.page_map.get(addr.page())?;
+        let id = self.page_table.get(addr.page())?;
         let block = self.block(id)?;
         let slot = block.slot_containing(addr)?;
         Some((block, slot))
@@ -1076,13 +1121,13 @@ impl Heap {
     /// interior address resolves; the caller applies its interior-pointer
     /// policy using [`ObjRef::base`].
     pub fn object_containing(&self, addr: Addr) -> Option<ObjRef> {
-        let (block, slot) = self.live_slot(self.page_map.get(addr.page()), addr)?;
+        let (block, slot) = self.live_slot(self.page_table.get(addr.page()), addr)?;
         Some(block.obj_ref(slot))
     }
 
     /// Figure 2's `mark(p)` for one candidate address, through a single
     /// borrow of its block: page → block (from `cache` when given, else
-    /// the page map; the answer is the same for any cache state), the live
+    /// the page table; the answer is the same for any cache state), the live
     /// slot as [`object_containing`](Self::object_containing) finds it, the
     /// caller's pointer policy `accept(base)`, the minor-mode boundary, and
     /// the mark bit's test-and-set. In minor mode an old object (or any
@@ -1098,8 +1143,8 @@ impl Heap {
         bit: MarkBit,
     ) -> MarkHit {
         let id = match cache {
-            Some(cache) => cache.block_for(addr.page(), &self.page_map),
-            None => self.page_map.get(addr.page()),
+            Some(cache) => cache.block_for(addr.page(), &self.page_table),
+            None => self.page_table.get(addr.page()),
         };
         let live = self.live_slot(id, addr);
         let Some((block, slot)) = live.filter(|&(b, slot)| accept(b.slot_base(slot))) else {
@@ -1342,7 +1387,7 @@ impl Heap {
     /// so per-page scans (dirty-card rescans run one per dirty page, every
     /// minor collection) build no intermediate `Vec`.
     pub fn objects_on_page(&self, page: PageIdx) -> impl Iterator<Item = ObjRef> + '_ {
-        self.page_map
+        self.page_table
             .get(page)
             .and_then(|id| self.block(id))
             .into_iter()
@@ -1391,7 +1436,7 @@ impl Heap {
     ///
     /// Reusing the id is safe for every holder of a block id:
     /// - [`PageResolveCache`]: clearing the block's pages (and later
-    ///   mapping the id's new block) bumps the page-map epoch, so a cache
+    ///   mapping the id's new block) bumps the page-table epoch, so a cache
     ///   filled before the release flushes instead of resolving the old
     ///   page to the new block.
     /// - The lazy-sweep queues: a stale entry naming the reused id finds a
@@ -1408,7 +1453,7 @@ impl Heap {
         self.free_ids.push(id.0);
         self.block_count -= 1;
         for i in 0..block.npages() {
-            self.page_map
+            self.page_table
                 .clear(PageIdx::new(block.base().page().raw() + i));
         }
         // Withdraw the block's free slots (explicit-free path; the sweep
@@ -1527,6 +1572,18 @@ impl Heap {
     /// allocation hot path's growth check.
     pub fn mapped_pages(&self) -> u32 {
         self.mapped_pages
+    }
+
+    /// Pages the page table covers: the span from the heap base to
+    /// [`Heap::hi`], one entry each, whatever the space's size.
+    pub fn page_table_pages(&self) -> u32 {
+        self.page_table.slots.len() as u32
+    }
+
+    /// Bytes the page table holds allocated: the collector's per-page
+    /// metadata, which grows with the heap's span.
+    pub fn page_table_bytes(&self) -> usize {
+        self.page_table.slots.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Bytes allocated since the last collection — the narrow O(1)
@@ -2439,7 +2496,7 @@ mod quarantine_tests {
         assert!(misses_after_first_pass > 0, "cold cache misses");
         assert_eq!(cache.hits() + cache.misses(), probes.len() as u64);
         // A second pass over the same pages is all hits (the heap is
-        // unchanged, so the page-map epoch is unchanged).
+        // unchanged, so the page-table epoch is unchanged).
         for addr in probes {
             assert_eq!(
                 heap.object_containing(addr),
@@ -2464,7 +2521,7 @@ mod quarantine_tests {
         resolve_cached(&mut heap, a, &mut cache).unwrap();
         resolve_cached(&mut heap, a, &mut cache).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        // Mapping a block of a new size class mutates the page map and
+        // Mapping a block of a new size class mutates the page table and
         // bumps its epoch: the next lookup must flush and re-walk, not
         // serve the stale entry.
         heap.alloc(&mut space, 2048, ObjectKind::Composite, &mut accept_all)
@@ -2474,7 +2531,7 @@ mod quarantine_tests {
         assert_eq!(
             (cache.hits(), cache.misses()),
             (1, 2),
-            "epoch change forces a page-map walk"
+            "epoch change forces a page-table walk"
         );
         // Freeing every object releases pages (another epoch bump): a
         // cached "this page has block X" must not outlive the block.

@@ -74,7 +74,7 @@ fn resolve_cache_never_maps_a_released_page_to_a_reused_id() {
     assert_eq!(reused.block, old_id, "the freed id was reused");
     assert_ne!(fresh.page(), old_page);
     // The entry filled before the release must not name the new block.
-    assert_eq!(cache.block_for(old_page, &heap.page_map), None);
+    assert_eq!(cache.block_for(old_page, &heap.page_table), None);
     assert_eq!(resolve_cached(&mut heap, doomed, &mut cache), None);
     assert_eq!(resolve_cached(&mut heap, fresh, &mut cache), Some(reused));
 }
@@ -177,4 +177,117 @@ fn sizes_near_four_gib_are_out_of_memory_in_every_build() {
     }
     assert_eq!(heap.stats(), before);
     assert_eq!(heap.stats(), heap.recomputed_stats());
+}
+
+#[test]
+fn a_new_heap_reserves_no_page_entries() {
+    let (_, heap) = setup(64);
+    assert_eq!(heap.page_table_pages(), 0);
+    assert_eq!(heap.page_table_bytes(), 0);
+}
+
+/// Grows a heap at `base` past a foreign segment mapped at `occupant`, so
+/// that an expansion jumps over it, then checks that the page table
+/// resolves only heap pages: nothing below the base, inside the occupant,
+/// at the break or in the top page; every block page to its block; and
+/// the pages mapped after the jump still clean for the zero-fill skip.
+/// Returns how many objects landed above the occupant.
+fn check_span_across_a_foreign_segment(base: u32, occupant: (u32, u32)) -> usize {
+    let mut space = AddressSpace::new(Endian::Big);
+    space
+        .map(SegmentSpec::new(
+            "foreign",
+            SegmentKind::Data,
+            Addr::new(occupant.0),
+            occupant.1,
+        ))
+        .unwrap();
+    let mut heap = Heap::new(HeapConfig {
+        heap_base: Addr::new(base),
+        growth_pages: 16,
+        ..HeapConfig::default()
+    });
+    let first = Addr::new(base).align_up(PAGE_BYTES);
+    let occupant_end = u64::from(occupant.0) + u64::from(occupant.1);
+    let mut above = Vec::new();
+    for i in 0..400 {
+        let (bytes, kind) = [
+            (8, ObjectKind::Composite),
+            (5000, ObjectKind::Atomic),
+            (100, ObjectKind::Atomic),
+        ][i % 3];
+        let Ok(addr) = heap.alloc(&mut space, bytes, kind, &mut accept_all) else {
+            break;
+        };
+        if u64::from(addr.raw()) >= occupant_end {
+            above.push(addr);
+        }
+        let span = (heap.hi().raw() - first.raw()) / PAGE_BYTES;
+        assert_eq!(heap.page_table_pages(), span, "base {base:#x}");
+    }
+    let hi = heap.hi();
+    let mut outside = vec![hi, Addr::new(0xFFFF_F000), Addr::new(u32::MAX - 3)];
+    outside.extend((1..=2).filter_map(|k| first.checked_sub(k * 4)));
+    let inside = [0, 4, PAGE_BYTES + 8, occupant.1 - 4].into_iter();
+    outside.extend(
+        inside
+            .filter(|&o| o < occupant.1)
+            .map(|o| Addr::new(occupant.0 + o)),
+    );
+    outside.extend(hi.checked_add(4));
+    for a in outside {
+        assert_eq!(heap.object_containing(a), None, "base {base:#x}: {a}");
+    }
+    for block in heap.blocks() {
+        assert!(block.zeroed, "base {base:#x}: never-reused pages are clean");
+        for i in 0..block.npages() {
+            let page = PageIdx::new(block.base().page().raw() + i);
+            assert_eq!(heap.page_table.get(page), Some(block.id), "{page:?}");
+        }
+    }
+    let last = Addr::new(occupant.0 + (occupant.1 - 1)).page();
+    for p in Addr::new(occupant.0).page().raw()..=last.raw() {
+        let page = PageIdx::new(p);
+        assert_eq!(heap.page_table.get(page), None);
+        if let Some(&v) = heap.page_table.slots.get(heap.page_table.index(page)) {
+            assert_eq!(v & PageTable::CLEAN, 0, "a jumped page is never clean");
+        }
+    }
+    for &a in &above {
+        let obj = heap
+            .object_containing(a)
+            .expect("object above the jump resolves");
+        assert_eq!(obj.base, a);
+        let bytes = space.bytes_at(a, obj.bytes).unwrap();
+        assert!(bytes.iter().all(|&b| b == 0), "{a} is zero-filled");
+    }
+    above.len()
+}
+
+#[test]
+fn the_page_table_resolves_only_heap_pages_across_a_jump() {
+    // An occupant right behind the first 16-page increment, at an
+    // ordinary base and near the top of the space.
+    let page = PAGE_BYTES;
+    for base in [0x0003_0000, 0xFFF0_0000] {
+        let jumped = check_span_across_a_foreign_segment(base, (base + 16 * page, 3 * page));
+        assert!(
+            jumped > 0,
+            "base {base:#x}: the heap grew past the occupant"
+        );
+    }
+    // Nothing fits above this base; the occupant takes the top page.
+    assert_eq!(
+        check_span_across_a_foreign_segment(0xFFFF_F800, (0xFFFF_F000, page)),
+        0
+    );
+}
+
+#[test]
+#[should_panic]
+fn writing_a_page_below_the_base_fails_loudly() {
+    let (mut space, mut heap) = setup(64);
+    alloc(&mut space, &mut heap, 8);
+    let below = PageIdx::new(Addr::new(0x0003_0000).page().raw() - 1);
+    heap.page_table.set(below, BlockId(0));
 }

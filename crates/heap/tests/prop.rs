@@ -61,6 +61,13 @@ fn check_invariants(heap: &Heap) {
     }
 }
 
+/// The page table covers exactly the heap's span: one entry per page from
+/// the (page-aligned) base up to the break, none for the rest of the space.
+fn check_page_table_span(heap: &Heap, base: Addr) {
+    let span = heap.hi().raw() - base.align_up(PAGE_BYTES).raw();
+    assert_eq!(heap.page_table_pages(), span / PAGE_BYTES);
+}
+
 /// The lazy heap's aggregate views must agree with a full object walk even
 /// while sweeps are pending: `bytes_live`, the generation census and the
 /// size-class census all answer from the same (pending-aware) liveness.
@@ -429,6 +436,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(heap.stats(), heap.recomputed_stats());
+            check_page_table_span(&heap, Addr::new(0x10_0000));
         }
         heap.finish_sweep();
         prop_assert_eq!(heap.stats(), heap.recomputed_stats());
@@ -911,6 +919,7 @@ proptest! {
             }
             check_invariants(&heap);
             prop_assert_eq!(heap.stats(), heap.recomputed_stats());
+            check_page_table_span(&heap, Addr::new(EDGE_BASES[base]));
         }
     }
 }

@@ -207,7 +207,7 @@ impl Sub<Addr> for Addr {
 /// Index of a 4 KiB page in the simulated address space.
 ///
 /// There are 2²⁰ pages in the 4 GiB space; page indices are the key type of
-/// the collector's page map and blacklist.
+/// the collector's page table and blacklist.
 ///
 /// # Example
 ///

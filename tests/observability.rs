@@ -157,6 +157,7 @@ fn metrics_json_snapshot_has_the_documented_schema() {
         "\"p95\":",
         "\"p99\":",
         "\"heap\":",
+        "\"page_table_bytes\":",
         "\"size_classes\":",
         "\"blacklist\":",
     ] {

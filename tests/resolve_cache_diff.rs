@@ -5,7 +5,7 @@
 //! same counters, same blacklist, same Table-1 retention.
 //!
 //! The resolve cache is a pure memoization of `Heap::object_containing`
-//! (epoch-validated against the page map, which is frozen during a mark
+//! (epoch-validated against the page table, which is frozen during a mark
 //! phase), so the only fields allowed to differ between cache-on and
 //! cache-off runs are the `resolve_hits`/`resolve_misses` telemetry
 //! counters themselves — they are deliberately excluded from the
