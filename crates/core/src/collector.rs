@@ -12,8 +12,8 @@ use gc_heap::{
     PageResolveCache, PageUse, SweepStats,
 };
 use gc_vmspace::{Addr, AddressSpace, PageIdx, PAGE_BYTES};
-use std::collections::{HashMap, HashSet};
-use std::time::Instant;
+use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 /// A conservative mark-sweep garbage collector with page-level blacklisting,
 /// reproducing the collector of Boehm's *Space Efficient Conservative
@@ -61,9 +61,6 @@ pub struct Collector {
     finalizers: Finalizers,
     stats: GcStats,
     startup_done: bool,
-    /// Dirty pages (card table, page granularity), used by generational
-    /// minor collections and by incremental marking's finish phase.
-    cards: HashSet<u32>,
     minors_since_full: u32,
     /// In-progress incremental marking cycle.
     inc: Option<IncState>,
@@ -82,18 +79,26 @@ pub struct Collector {
     allocs_at_last_collect: (u64, u64),
 }
 
+/// How a cycle began: what [`Collector::begin_cycle`] hands the shared
+/// finisher.
+#[derive(Debug, Clone, Copy)]
+struct Cycle {
+    gc_no: u64,
+    kind: CollectKind,
+    reason: CollectReason,
+    blacklist_before: u32,
+    started: Instant,
+}
+
 /// State of an in-progress incremental marking cycle.
 #[derive(Debug)]
 struct IncState {
-    gc_no: u64,
-    reason: CollectReason,
-    blacklist_before: u32,
+    cycle: Cycle,
     stack: Vec<ObjRef>,
     /// The page-resolve cache, carried from increment to increment and
     /// into the finish so each marker starts warm.
     cache: Option<PageResolveCache>,
     out: MarkOutcome,
-    started: Instant,
     /// Phase time accumulated across the cycle's increments so far.
     phases: PhaseTimes,
 }
@@ -104,6 +109,14 @@ impl Collector {
     /// No collection runs yet; the startup collection (if configured)
     /// happens on the first allocation or an explicit [`Collector::start`],
     /// so the embedder can finish mapping static segments first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` enables both
+    /// [`generational`](GcConfig::generational) and
+    /// [`incremental`](GcConfig::incremental) modes, which are mutually
+    /// exclusive. [`GcConfig::builder()`] rejects that combination with
+    /// [`GcError::InvalidConfig`] instead.
     pub fn new(space: AddressSpace, config: GcConfig) -> Self {
         assert!(
             !(config.generational && config.incremental),
@@ -115,7 +128,6 @@ impl Collector {
             finalizers: Finalizers::default(),
             stats: GcStats::default(),
             startup_done: false,
-            cards: HashSet::new(),
             minors_since_full: 0,
             inc: None,
             weak_links: HashMap::new(),
@@ -148,6 +160,18 @@ impl Collector {
     /// Returns [`GcError::Heap`] when the heap limit is exhausted even
     /// after a forced collection, or for zero-sized requests.
     pub fn alloc(&mut self, bytes: u32, kind: ObjectKind) -> Result<Addr, GcError> {
+        self.alloc_impl(bytes, kind, None)
+    }
+
+    /// The one allocation path behind [`alloc`](Collector::alloc) and
+    /// [`alloc_typed`](Collector::alloc_typed); `desc` is the typed
+    /// layout, if any.
+    fn alloc_impl(
+        &mut self,
+        bytes: u32,
+        kind: ObjectKind,
+        desc: Option<DescriptorId>,
+    ) -> Result<Addr, GcError> {
         // Fast-path discipline: no clock reads and no heap walks. The heap
         // probes below are the O(1) narrow accessors, and `Instant::now()`
         // is stamped lazily at the first slow-path entry, so an allocation
@@ -159,7 +183,16 @@ impl Collector {
             t0 = Some(Instant::now());
             self.start();
         }
-        if self.config.incremental {
+        // Only the trigger depends on the layout. A typed allocation does
+        // not step an incremental cycle yet: past the threshold it collects
+        // stop-the-world, abandoning a cycle in progress, and its object is
+        // not allocated black. Stepping it cuts `typed_mutate`'s p90 pause
+        // from 1.38 to 0.034 ms (EXPERIMENTS.md PGT), but perfbench keeps
+        // every pause sample, and twelve times as many samples push its
+        // peak RSS past the bound. Once those samples are bounded, typed
+        // allocations step the cycle by dropping `untyped`.
+        let untyped = desc.is_none();
+        if self.config.incremental && untyped {
             // Keep an in-progress cycle moving; start one at the usual
             // threshold.
             if self.inc.is_some() || self.should_collect() {
@@ -171,11 +204,7 @@ impl Collector {
             let kind = self.auto_collect_kind();
             self.collect_impl(kind, CollectReason::Automatic);
         }
-        let result = match self.try_alloc(bytes, kind) {
-            Ok(addr) => {
-                self.allocate_black(addr);
-                Ok(addr)
-            }
+        let result = match self.try_alloc(bytes, kind, desc) {
             Err(HeapError::OutOfMemory { .. }) => {
                 t0.get_or_insert_with(Instant::now);
                 // Out-of-memory retries always use a full collection. It
@@ -183,12 +212,14 @@ impl Collector {
                 // account this attempt's share first.
                 self.note_lazy_sweep();
                 self.collect_impl(CollectKind::Full, CollectReason::OutOfMemory);
-                let addr = self.try_alloc(bytes, kind)?;
-                self.allocate_black(addr);
-                Ok(addr)
+                self.try_alloc(bytes, kind, desc)
             }
-            Err(e) => Err(e.into()),
-        };
+            result => result,
+        }
+        .map_err(GcError::from);
+        if let (Ok(addr), true) = (&result, untyped) {
+            self.allocate_black(*addr);
+        }
         self.note_lazy_sweep();
         let mapped_after = self.heap.mapped_pages();
         if mapped_after > mapped_before {
@@ -258,7 +289,7 @@ impl Collector {
 
     /// During an incremental cycle, fresh objects are allocated *black*
     /// (already marked): the tracer never needs to revisit them, and their
-    /// future contents are covered by the card table.
+    /// future contents are covered by the dirty pages.
     fn allocate_black(&mut self, addr: Addr) {
         if self.inc.is_some() {
             if let Some(obj) = self.heap.object_containing(addr) {
@@ -275,20 +306,24 @@ impl Collector {
         }
     }
 
-    /// Records a mutator write to `addr` in the card table (generational
-    /// write barrier). Cheap no-op outside the heap or when generational
-    /// mode is off. The simulated machine calls this from its store path;
-    /// embedders writing heap memory directly must do the same, or a minor
-    /// collection may miss an old→young pointer.
+    /// Records a mutator write to `addr` in the heap's dirty-page set (the
+    /// write barrier, at page granularity). It records in generational
+    /// mode, where dirty pages are a minor collection's remembered set,
+    /// and while an incremental cycle is in progress, whose finish rescans
+    /// the marked objects on them. Otherwise, and outside the heap, it is
+    /// a cheap no-op. The simulated machine calls this from its store
+    /// path; embedders writing heap memory directly must do the same, or a
+    /// minor collection may miss an old→young pointer and an incremental
+    /// cycle a pointer stored into an already-scanned object.
     pub fn record_write(&mut self, addr: Addr) {
-        if (self.config.generational || self.inc.is_some()) && self.heap.in_heap_range(addr) {
-            self.cards.insert(addr.page().raw());
+        if self.config.generational || self.inc.is_some() {
+            self.heap.note_write(addr);
         }
     }
 
-    /// Number of dirty cards currently recorded.
+    /// Number of dirty pages currently recorded.
     pub fn dirty_cards(&self) -> usize {
-        self.cards.len()
+        self.heap.dirty_page_count() as usize
     }
 
     /// Registers an object-layout descriptor for typed allocation — the
@@ -300,6 +335,11 @@ impl Collector {
 
     /// Allocates a typed object: only its declared pointer words are
     /// scanned, so its data words can never be misidentified as pointers.
+    ///
+    /// It takes [`alloc`](Collector::alloc)'s path and emits the same
+    /// events. Only its collection trigger differs: it never steps an
+    /// incremental cycle, and past the threshold it collects
+    /// stop-the-world instead.
     ///
     /// # Errors
     ///
@@ -328,44 +368,7 @@ impl Collector {
     /// # }
     /// ```
     pub fn alloc_typed(&mut self, bytes: u32, desc: DescriptorId) -> Result<Addr, GcError> {
-        let work_before = self.stats.collections + self.stats.increments;
-        self.start();
-        if self.should_collect() {
-            let kind = self.auto_collect_kind();
-            self.collect_impl(kind, CollectReason::Automatic);
-        }
-        let result = {
-            let blacklist = &self.blacklist;
-            let config = &self.config;
-            let mut pred =
-                |page: PageIdx, use_: PageUse| page_usable(blacklist, config, page, use_);
-            self.heap
-                .alloc_typed(&mut self.space, bytes, desc, &mut pred)
-        };
-        let result = match result {
-            Ok(addr) => Ok(addr),
-            Err(HeapError::OutOfMemory { .. }) => {
-                self.collect_impl(CollectKind::Full, CollectReason::OutOfMemory);
-                let blacklist = &self.blacklist;
-                let config = &self.config;
-                let mut pred =
-                    |page: PageIdx, use_: PageUse| page_usable(blacklist, config, page, use_);
-                let addr = self
-                    .heap
-                    .alloc_typed(&mut self.space, bytes, desc, &mut pred)?;
-                Ok(addr)
-            }
-            Err(e) => Err(e.into()),
-        };
-        self.note_lazy_sweep();
-        if result.is_ok() {
-            if self.stats.collections + self.stats.increments > work_before {
-                self.stats.slow_path_allocs += 1;
-            } else {
-                self.stats.fast_path_allocs += 1;
-            }
-        }
-        result
+        self.alloc_impl(bytes, ObjectKind::Composite, Some(desc))
     }
 
     /// Delivers an event to the configured observer, if any. The closure
@@ -397,11 +400,17 @@ impl Collector {
         telemetry::metrics_json(self)
     }
 
-    fn try_alloc(&mut self, bytes: u32, kind: ObjectKind) -> Result<Addr, HeapError> {
+    fn try_alloc(
+        &mut self,
+        bytes: u32,
+        kind: ObjectKind,
+        desc: Option<DescriptorId>,
+    ) -> Result<Addr, HeapError> {
         let blacklist = &self.blacklist;
         let config = &self.config;
         let mut pred = |page: PageIdx, use_: PageUse| page_usable(blacklist, config, page, use_);
-        self.heap.alloc(&mut self.space, bytes, kind, &mut pred)
+        self.heap
+            .alloc_with(&mut self.space, bytes, kind, desc, &mut pred)
     }
 
     fn should_collect(&self) -> bool {
@@ -492,48 +501,28 @@ impl Collector {
     }
 
     fn increment_impl(&mut self, reason: CollectReason) -> Option<CollectionStats> {
-        if self.inc.is_none() {
-            // A new cycle clears mark bits, and pending blocks' reclamation
-            // decisions live in the previous cycle's marks: realize any
-            // deferred sweep work first, outside the measured pause.
-            self.finish_sweep();
-        }
-        let t0 = Instant::now();
-        let (done, gc_no) = match &mut self.inc {
+        let (mut state, t0, done) = match self.inc.take() {
             None => {
                 // Cycle start: brief stop-the-world root scan.
-                let gc_no = self.stats.collections + 1;
-                let blacklist_before = self.blacklist.len();
-                self.blacklist.begin_cycle(gc_no);
-                self.heap.clear_marks();
-                self.cards.clear();
+                let cycle = self.begin_cycle(CollectKind::Full, reason);
+                self.heap.clear_dirty();
                 let mut marker =
                     Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
                 marker.run_roots_only();
-                let stack = marker.take_stack();
-                let out = marker.outcome();
-                let cache = marker.take_cache();
-                self.inc = Some(IncState {
-                    gc_no,
-                    reason,
-                    blacklist_before,
-                    stack,
-                    cache,
-                    out,
-                    started: t0,
+                let state = IncState {
+                    cycle,
+                    stack: marker.take_stack(),
+                    out: marker.outcome(),
+                    cache: marker.take_cache(),
                     phases: PhaseTimes {
-                        root_scan: t0.elapsed(),
+                        root_scan: cycle.started.elapsed(),
                         ..PhaseTimes::default()
                     },
-                });
-                self.emit(|| GcEvent::CollectionBegin {
-                    gc_no,
-                    kind: CollectKind::Full,
-                    reason,
-                });
-                (false, gc_no)
+                };
+                (state, cycle.started, false)
             }
-            Some(state) => {
+            Some(mut state) => {
+                let t0 = Instant::now();
                 let mut marker =
                     Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
                 marker.set_stack(std::mem::take(&mut state.stack));
@@ -543,125 +532,47 @@ impl Collector {
                 state.out.merge(marker.outcome());
                 state.cache = marker.take_cache();
                 state.phases.mark += t0.elapsed();
-                (done, state.gc_no)
+                (state, t0, done)
             }
         };
         self.stats.increments += 1;
-        let pause = t0.elapsed();
-        self.stats.max_increment_pause = self.stats.max_increment_pause.max(pause);
-        self.stats.pause_times.record_duration(pause);
-        self.emit(|| GcEvent::IncrementalPause {
-            gc_no,
-            duration: pause,
-        });
+        self.note_pause(state.cycle.gc_no, t0.elapsed());
         if !done {
+            self.inc = Some(state);
             return None;
         }
-        Some(self.finish_incremental())
+        // The stop-the-world finish: rescan the marked objects on dirty
+        // pages and the roots (covering every mutation since the cycle
+        // began) and drain. It all counts as marking: it completes the
+        // tracing the increments started.
+        let t0 = Instant::now();
+        let mut marker = Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
+        marker.set_cache(state.cache.take());
+        marker.scan_dirty_pages(true);
+        marker.run();
+        state.out.merge(marker.outcome());
+        state.phases.mark += t0.elapsed();
+        Some(self.finish_cycle(state.cycle, state.out, state.phases, None, Some(t0)))
     }
 
-    /// The stop-the-world finish: rescan roots and dirty pages (covering
-    /// every mutation since the cycle began), then sweep.
-    fn finish_incremental(&mut self) -> CollectionStats {
-        let t0 = Instant::now();
-        let state = self
-            .inc
-            .take()
-            .expect("finish follows an in-progress cycle");
-        let IncState {
-            gc_no,
-            reason,
-            blacklist_before,
-            cache,
-            out: mut acc,
-            started,
-            mut phases,
-            ..
-        } = state;
-        let finalizers_ready;
-        {
-            let mut marker =
-                Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
-            marker.set_cache(cache);
-            // The finish's root and dirty-page rescan plus final drain all
-            // count as marking: they complete the tracing the increments
-            // started.
-            let t_phase = Instant::now();
-            let dirty: Vec<PageIdx> = self.cards.iter().map(|&p| PageIdx::new(p)).collect();
-            marker.scan_pages(dirty, false);
-            marker.run();
-            phases.mark += t_phase.elapsed();
-            let t_phase = Instant::now();
-            let doomed = {
-                let heap = marker.heap();
-                self.finalizers.collect_unreachable(|addr| {
-                    heap.object_containing(addr)
-                        .is_some_and(|o| heap.is_marked(o))
-                })
-            };
-            for &addr in &doomed {
-                marker.mark_object(addr);
-            }
-            phases.finalize = t_phase.elapsed();
-            finalizers_ready = doomed.len() as u32;
-            acc.merge(marker.outcome());
-        }
-        let t_phase = Instant::now();
-        self.clear_dead_links(false);
-        phases.finalize += t_phase.elapsed();
-        let t_phase = Instant::now();
-        let sweep = self.sweep(false);
-        phases.sweep = t_phase.elapsed();
-        self.cards.clear();
-        self.minors_since_full = 0;
-        self.blacklist.end_cycle();
-        self.heap.note_collection();
-        let pause = t0.elapsed();
+    /// Records one bounded pause of an incremental cycle.
+    fn note_pause(&mut self, gc_no: u64, pause: Duration) {
         self.stats.max_increment_pause = self.stats.max_increment_pause.max(pause);
         self.stats.pause_times.record_duration(pause);
         self.emit(|| GcEvent::IncrementalPause {
             gc_no,
             duration: pause,
         });
-        let (fast_path_allocs, slow_path_allocs) = self.take_alloc_path_deltas();
-        let c = CollectionStats {
-            gc_no,
-            kind: CollectKind::Full,
-            reason,
-            root_words_scanned: acc.root_words,
-            heap_words_scanned: acc.heap_words,
-            candidates_in_range: acc.candidates_in_range,
-            valid_pointers: acc.valid_pointers,
-            false_refs_near_heap: acc.false_refs_near_heap,
-            newly_blacklisted: self.blacklist.len().saturating_sub(blacklist_before),
-            blacklist_pages: self.blacklist.len(),
-            objects_marked: acc.objects_marked,
-            bytes_marked: acc.bytes_marked,
-            resolve_hits: acc.resolve_hits,
-            resolve_misses: acc.resolve_misses,
-            finalizers_ready,
-            fast_path_allocs,
-            slow_path_allocs,
-            sweep,
-            phases,
-            parallel_mark: None,
-            duration: started.elapsed(),
-        };
-        self.stats.record(c);
-        self.emit_collection_end(&c);
-        c
     }
 
-    fn collect_impl(&mut self, kind: CollectKind, reason: CollectReason) -> CollectionStats {
-        // A stop-the-world collection abandons any in-progress incremental
-        // cycle (its partial marks are cleared below).
-        self.inc = None;
-        // Pending blocks' reclamation decisions live in the previous
-        // cycle's mark bits: realize any deferred sweep work before
-        // clearing them, outside the measured pause.
+    /// The start every cycle shares. Pending blocks' reclamation decisions
+    /// live in the previous cycle's mark bits, so any deferred sweep work
+    /// is realized first, outside the measured pause. Then the cycle is
+    /// numbered and announced, the blacklist opens its cycle, and the mark
+    /// bits are cleared.
+    fn begin_cycle(&mut self, kind: CollectKind, reason: CollectReason) -> Cycle {
         self.finish_sweep();
-        let t0 = Instant::now();
-        let minor = kind == CollectKind::Minor;
+        let started = Instant::now();
         let gc_no = self.stats.collections + 1;
         self.emit(|| GcEvent::CollectionBegin {
             gc_no,
@@ -671,7 +582,21 @@ impl Collector {
         let blacklist_before = self.blacklist.len();
         self.blacklist.begin_cycle(gc_no);
         self.heap.clear_marks();
+        Cycle {
+            gc_no,
+            kind,
+            reason,
+            blacklist_before,
+            started,
+        }
+    }
 
+    fn collect_impl(&mut self, kind: CollectKind, reason: CollectReason) -> CollectionStats {
+        // A stop-the-world collection abandons any in-progress incremental
+        // cycle (its partial marks are cleared as this one begins).
+        self.inc = None;
+        let cycle = self.begin_cycle(kind, reason);
+        let minor = kind == CollectKind::Minor;
         let mut phases = PhaseTimes::default();
         let requested = self.config.mark_threads.clamp(1, MAX_MARK_THREADS);
         // Never oversubscribe the machine: a stop-world mark is pure CPU,
@@ -687,8 +612,7 @@ impl Collector {
         } else {
             requested.min(cores as u32)
         };
-        let mut parallel_mark = None;
-        let mut single_worker = None;
+        let mut workers = Vec::new();
         let mut acc;
         {
             let mut marker =
@@ -711,8 +635,7 @@ impl Collector {
                 // root-reachable objects, and in minor mode the old objects
                 // on dirty pages (scanned but not drained).
                 if minor {
-                    let dirty: Vec<PageIdx> = self.cards.iter().map(|&p| PageIdx::new(p)).collect();
-                    marker.scan_dirty_old_seed(dirty);
+                    marker.scan_dirty_pages(false);
                 }
                 let seeds = marker.take_stack();
                 let vicinity = marker.vicinity();
@@ -734,17 +657,7 @@ impl Collector {
                     self.blacklist
                         .note_false_refs(PageIdx::new(page), RootClass::Heap, count);
                 }
-                for (i, w) in par.workers.iter().enumerate() {
-                    self.emit(|| GcEvent::MarkWorker {
-                        gc_no,
-                        worker: i as u32,
-                        objects_marked: w.objects_marked,
-                        bytes_marked: w.bytes_marked,
-                        stolen: w.stolen,
-                        duration: w.duration,
-                    });
-                }
-                parallel_mark = Some(ParallelMarkStats::new(&par.workers));
+                workers = par.workers;
             } else {
                 // Serial drain — either marking is configured serial, or a
                 // parallel mark was requested on a single-core machine,
@@ -756,12 +669,11 @@ impl Collector {
                 let t_drain = Instant::now();
                 marker.drain_all();
                 if minor {
-                    let dirty: Vec<PageIdx> = self.cards.iter().map(|&p| PageIdx::new(p)).collect();
-                    marker.scan_dirty_old(dirty);
+                    marker.scan_dirty_pages(true);
                 }
                 acc = marker.outcome();
                 if requested > 1 {
-                    single_worker = Some(MarkWorkerStats {
+                    workers.push(MarkWorkerStats {
                         objects_marked: acc.objects_marked - before.objects_marked,
                         bytes_marked: acc.bytes_marked - before.bytes_marked,
                         stolen: 0,
@@ -771,85 +683,91 @@ impl Collector {
             }
             phases.mark = t_phase.elapsed();
         }
-        if let Some(w) = single_worker {
+        for (i, w) in workers.iter().enumerate() {
             self.emit(|| GcEvent::MarkWorker {
-                gc_no,
-                worker: 0,
+                gc_no: cycle.gc_no,
+                worker: i as u32,
                 objects_marked: w.objects_marked,
                 bytes_marked: w.bytes_marked,
                 stolen: w.stolen,
                 duration: w.duration,
             });
-            parallel_mark = Some(ParallelMarkStats::new(&[w]));
         }
+        let parallel_mark = (!workers.is_empty()).then(|| ParallelMarkStats::new(&workers));
+        self.finish_cycle(cycle, acc, phases, parallel_mark, None)
+    }
+
+    /// The end every cycle shares, after its marking: finalizer
+    /// resurrection, disappearing links, the sweep, the cycle's
+    /// bookkeeping, and its statistics and events. `out` and `phases` hold
+    /// the cycle's marking so far. `pause_start` is set for an incremental
+    /// finish, whose pause is its own bounded step, not the whole cycle.
+    fn finish_cycle(
+        &mut self,
+        cycle: Cycle,
+        mut out: MarkOutcome,
+        mut phases: PhaseTimes,
+        parallel_mark: Option<ParallelMarkStats>,
+        pause_start: Option<Instant>,
+    ) -> CollectionStats {
+        let minor = cycle.kind == CollectKind::Minor;
         // Finalize phase: unreachable registered objects are queued and
         // resurrected for one more cycle. A minor collection treats the
         // whole old generation as live. Resurrection marking is serial (a
         // fresh marker; its counters merge into the cycle's totals).
-        let finalizers_ready = {
-            let t_phase = Instant::now();
-            let mut marker =
-                Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
-            if minor {
-                marker = marker.minor();
-            }
-            let doomed = {
-                let heap = marker.heap();
-                self.finalizers.collect_unreachable(|addr| {
-                    heap.object_containing(addr)
-                        .is_some_and(|o| heap.is_marked(o) || (minor && heap.is_old(o)))
-                })
-            };
-            for &addr in &doomed {
-                marker.mark_object(addr);
-            }
-            acc.merge(marker.outcome());
-            phases.finalize = t_phase.elapsed();
-            doomed.len() as u32
-        };
-        let out = acc;
-
         let t_phase = Instant::now();
+        let mut marker = Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
+        if minor {
+            marker = marker.minor();
+        }
+        let heap = &self.heap;
+        let doomed = self.finalizers.collect_unreachable(|addr| {
+            heap.object_containing(addr)
+                .is_some_and(|o| heap.is_marked(o) || (minor && heap.is_old(o)))
+        });
+        for &addr in &doomed {
+            marker.mark_object(addr);
+        }
+        out.merge(marker.outcome());
         self.clear_dead_links(minor);
-        phases.finalize += t_phase.elapsed();
+        phases.finalize = t_phase.elapsed();
         let t_phase = Instant::now();
         let sweep = self.sweep(minor);
         phases.sweep = t_phase.elapsed();
-        self.cards.clear();
-        if minor {
-            self.minors_since_full += 1;
-        } else {
-            self.minors_since_full = 0;
-        }
+        self.heap.clear_dirty();
+        self.minors_since_full = if minor { self.minors_since_full + 1 } else { 0 };
         self.blacklist.end_cycle();
         self.heap.note_collection();
-
+        let duration = cycle.started.elapsed();
+        match pause_start {
+            Some(t0) => self.note_pause(cycle.gc_no, t0.elapsed()),
+            None => self.stats.pause_times.record_duration(duration),
+        }
         let (fast_path_allocs, slow_path_allocs) = self.take_alloc_path_deltas();
         let c = CollectionStats {
-            gc_no,
-            kind,
-            reason,
+            gc_no: cycle.gc_no,
+            kind: cycle.kind,
+            reason: cycle.reason,
             root_words_scanned: out.root_words,
             heap_words_scanned: out.heap_words,
             candidates_in_range: out.candidates_in_range,
             valid_pointers: out.valid_pointers,
             false_refs_near_heap: out.false_refs_near_heap,
-            newly_blacklisted: self.blacklist.len().saturating_sub(blacklist_before),
+            newly_blacklisted: self.blacklist.len().saturating_sub(cycle.blacklist_before),
             blacklist_pages: self.blacklist.len(),
             objects_marked: out.objects_marked,
             bytes_marked: out.bytes_marked,
             resolve_hits: out.resolve_hits,
             resolve_misses: out.resolve_misses,
-            finalizers_ready,
+            finalizers_ready: doomed.len() as u32,
             fast_path_allocs,
             slow_path_allocs,
             sweep,
             phases,
             parallel_mark,
-            duration: t0.elapsed(),
+            duration,
         };
         self.stats.record(c);
-        self.stats.pause_times.record_duration(c.duration);
         self.emit_collection_end(&c);
         c
     }
@@ -1812,10 +1730,15 @@ mod generational_tests {
 #[cfg(test)]
 mod typed_tests {
     use super::*;
+    use crate::{observer, RingBufferSink};
     use gc_heap::{Descriptor, HeapConfig};
     use gc_vmspace::{Endian, SegmentKind, SegmentSpec};
 
     fn collector() -> Collector {
+        collector_with(|_| {})
+    }
+
+    fn collector_with(tweak: impl FnOnce(&mut GcConfig)) -> Collector {
         let mut space = AddressSpace::new(Endian::Big);
         space
             .map(SegmentSpec::new(
@@ -1825,22 +1748,61 @@ mod typed_tests {
                 4096,
             ))
             .unwrap();
-        Collector::new(
-            space,
-            GcConfig {
-                heap: HeapConfig {
-                    heap_base: Addr::new(0x10_0000),
-                    max_heap_bytes: 16 << 20,
-                    growth_pages: 16,
-                    ..HeapConfig::default()
-                },
-                min_bytes_between_gcs: u64::MAX,
-                ..GcConfig::default()
+        let mut config = GcConfig {
+            heap: HeapConfig {
+                heap_base: Addr::new(0x10_0000),
+                max_heap_bytes: 16 << 20,
+                growth_pages: 16,
+                ..HeapConfig::default()
             },
-        )
+            min_bytes_between_gcs: u64::MAX,
+            ..GcConfig::default()
+        };
+        tweak(&mut config);
+        Collector::new(space, config)
     }
 
     const ROOT: Addr = Addr::new(0x1_0000);
+
+    #[test]
+    fn typed_and_untyped_allocation_emit_the_same_events() {
+        // One size sequence, stop-the-world, through each entry point:
+        // untyped composite, and typed with every word a pointer.
+        let sizes = [16u32, 48, 16, 256, 4000, 24, 9000, 16];
+        let run = |typed: bool| {
+            let events = observer(RingBufferSink::new(1 << 16));
+            let handle = events.clone();
+            let mut gc = collector_with(move |c| {
+                c.min_bytes_between_gcs = 16 << 10;
+                c.observer = Some(handle);
+            });
+            let words = 9000 / 4;
+            let offsets: Vec<u32> = (0..words).collect();
+            let desc = gc.register_descriptor(Descriptor::with_pointers_at(words, &offsets));
+            for i in 0..600 {
+                let bytes = sizes[i % sizes.len()];
+                if typed {
+                    gc.alloc_typed(bytes, desc).unwrap();
+                } else {
+                    gc.alloc(bytes, ObjectKind::Composite).unwrap();
+                }
+            }
+            let tags: Vec<&str> = events
+                .lock()
+                .unwrap()
+                .events()
+                .iter()
+                .map(GcEvent::tag)
+                .collect();
+            (tags, gc.stats().alloc_slow_path.count())
+        };
+        let untyped = run(false);
+        for tag in ["heap_grow", "alloc_slow_path", "collection_end"] {
+            assert!(untyped.0.contains(&tag), "the trace emits {tag}");
+        }
+        assert!(untyped.1 > 0, "the trace took the slow path");
+        assert_eq!(run(true), untyped, "both entry points emit the same events");
+    }
 
     #[test]
     fn typed_data_words_never_misidentify() {
@@ -2016,6 +1978,29 @@ mod incremental_tests {
             gc.is_live(hidden),
             "dirty-page rescan found the hidden pointer"
         );
+    }
+
+    #[test]
+    fn dirty_cards_count_the_distinct_heap_pages_written_in_a_cycle() {
+        let mut gc = inc_collector(16);
+        let cells = build_chain(&mut gc, 3000);
+        gc.record_write(cells[0]);
+        assert_eq!(gc.dirty_cards(), 0, "no cycle, no barrier");
+        assert!(gc.collect_increment(CollectReason::Explicit).is_none());
+        let mut pages = std::collections::BTreeSet::new();
+        for &cell in cells.iter().step_by(7) {
+            gc.record_write(cell + 4);
+            gc.record_write(cell);
+            pages.insert(cell.page());
+            assert_eq!(gc.dirty_cards(), pages.len());
+        }
+        // Writes outside the heap are not recorded.
+        gc.record_write(ROOT);
+        gc.record_write(gc.heap().hi());
+        assert_eq!(gc.dirty_cards(), pages.len());
+        assert!(pages.len() > 4, "the chain spans several pages");
+        run_cycle(&mut gc);
+        assert_eq!(gc.dirty_cards(), 0, "the finish clears the dirty set");
     }
 
     #[test]

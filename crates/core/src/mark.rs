@@ -249,51 +249,24 @@ impl<'a> Marker<'a> {
         (self.vic_lo, self.vic_hi)
     }
 
-    /// Scans the fields of every old composite object on the given dirty
-    /// pages — the generational remembered set.
-    pub(crate) fn scan_dirty_old(&mut self, pages: impl IntoIterator<Item = gc_vmspace::PageIdx>) {
-        self.scan_pages_impl(pages, true, true)
-    }
-
-    /// As [`scan_dirty_old`](Marker::scan_dirty_old), but leaves the found
-    /// objects on the mark stack instead of draining: the seeding step
-    /// before a parallel drain takes over. The drained and seeded forms
-    /// reach the same fixed point — dirty-old pages are enumerated
-    /// identically and every counter totals per *object scan*, of which
-    /// each happens exactly once either way.
-    pub(crate) fn scan_dirty_old_seed(
-        &mut self,
-        pages: impl IntoIterator<Item = gc_vmspace::PageIdx>,
-    ) {
-        self.scan_pages_impl(pages, true, false)
-    }
-
-    /// Scans the fields of composite objects on the given pages; with
-    /// `only_old`, restricted to the old generation (minor collections),
-    /// otherwise to the *marked* objects (the incremental finish phase's
-    /// dirty rescan, bdwgc's `GC_push_marked`). An unmarked object on a
-    /// dirty page is not known reachable, and scanning it would retain
-    /// whatever it points to. Rescanning only marked ones is enough: every
-    /// black object written after its scan lies on a dirty page, and the
-    /// finish rescans the roots.
-    pub(crate) fn scan_pages(
-        &mut self,
-        pages: impl IntoIterator<Item = gc_vmspace::PageIdx>,
-        only_old: bool,
-    ) {
-        self.scan_pages_impl(pages, only_old, true)
-    }
-
-    fn scan_pages_impl(
-        &mut self,
-        pages: impl IntoIterator<Item = gc_vmspace::PageIdx>,
-        only_old: bool,
-        drain: bool,
-    ) {
+    /// Scans the fields of composite objects on the heap's dirty pages, in
+    /// ascending page order. A minor marker scans the old ones: the
+    /// generational remembered set. Otherwise it scans the *marked* ones:
+    /// the incremental finish's dirty rescan, bdwgc's `GC_push_marked`. An
+    /// unmarked object on a dirty page is not known reachable, and
+    /// scanning it would retain whatever it points to. Rescanning only
+    /// marked ones is enough: every black object written after its scan
+    /// lies on a dirty page, and the finish rescans the roots.
+    ///
+    /// With `drain`, the stack is drained after each page. Without it the
+    /// found objects stay on the stack, seeding a parallel drain; both
+    /// reach the same fixed point, since every counter totals per object
+    /// scan and each scan happens exactly once either way.
+    pub(crate) fn scan_dirty_pages(&mut self, drain: bool) {
         let heap = self.heap;
-        for page in pages {
+        for page in heap.dirty_pages() {
             for obj in heap.objects_on_page(page) {
-                let wanted = if only_old {
+                let wanted = if self.minor {
                     heap.is_old(obj)
                 } else {
                     heap.is_marked(obj)
@@ -355,11 +328,6 @@ impl<'a> Marker<'a> {
             self.scan(obj);
         }
         self.stack.is_empty()
-    }
-
-    /// Read access to the heap mid-mark (for finalization queries).
-    pub(crate) fn heap(&self) -> &Heap {
-        self.heap
     }
 
     /// Marks the live object containing `addr` and everything reachable

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 /// The heap's page table: one entry per page of the heap's own span, from
 /// `heap_base`'s page up to the heap break, each holding the page's block
-/// id and its never-written ("clean") bit.
+/// id, its never-written ("clean") bit and its dirty bit.
 ///
 /// **Invariant:** the heap maps only upward from `heap_base` —
 /// `next_expansion` starts there and only grows, and released pages are
@@ -28,24 +28,29 @@ use std::time::{Duration, Instant};
 struct PageTable {
     /// Page index of entry 0: `heap_base.page()`.
     first: u32,
-    /// Per page: [`PageTable::CLEAN`] | block id (low 31 bits), with
-    /// [`PageTable::NONE`] for "no block".
+    /// Per page: [`PageTable::CLEAN`] | [`PageTable::DIRTY`] | block id
+    /// (low 30 bits), with [`PageTable::NONE`] for "no block".
     slots: Vec<u32>,
     /// Bumped on every block-id mutation; [`PageResolveCache`] entries are
     /// valid only for the epoch they were filled under. Block ids are
     /// recycled, so this is also what keeps a cached page → id entry from
     /// naming a different block after its own was released and its id
     /// reused. Growing the span and flipping clean bits change no page's
-    /// answer, so they leave the epoch alone.
+    /// answer, so they leave the epoch alone; so do dirty bits.
     epoch: u64,
+    /// Number of entries whose dirty bit is set.
+    dirty: u32,
 }
 
 impl PageTable {
     /// The clean bit: the page has never been written since the address
     /// space mapped (and zero-initialized) it.
     const CLEAN: u32 = 1 << 31;
+    /// The dirty bit: the mutator wrote the page since the dirty set was
+    /// last cleared ([`Heap::note_write`]).
+    const DIRTY: u32 = 1 << 30;
     /// The block-id bits; block ids are bounded by the page count (< 2^20).
-    const ID: u32 = Self::CLEAN - 1;
+    const ID: u32 = Self::DIRTY - 1;
     /// The block-id value for "no block".
     const NONE: u32 = Self::ID;
 
@@ -54,6 +59,7 @@ impl PageTable {
             first: heap_base.page().raw(),
             slots: Vec::new(),
             epoch: 0,
+            dirty: 0,
         }
     }
 
@@ -82,16 +88,19 @@ impl PageTable {
     }
 
     /// Maps `page` to block `id` and clears its clean bit: a block's pages
-    /// get written.
+    /// get written. The dirty bit is kept.
     fn set(&mut self, page: PageIdx, id: BlockId) {
         debug_assert!(id.0 < Self::NONE, "block id {} overflows the table", id.0);
-        *self.slot_mut(page) = id.0;
+        let v = self.slot_mut(page);
+        *v = (*v & Self::DIRTY) | id.0;
         self.epoch += 1;
     }
 
     /// Unmaps a released block's page; it was written, so it is not clean.
+    /// The dirty bit is kept.
     fn clear(&mut self, page: PageIdx) {
-        *self.slot_mut(page) = Self::NONE;
+        let v = self.slot_mut(page);
+        *v = (*v & Self::DIRTY) | Self::NONE;
         self.epoch += 1;
     }
 
@@ -565,24 +574,6 @@ impl Heap {
         DescriptorId(self.descriptors.len() as u32 - 1)
     }
 
-    /// Allocates a typed object: scanned *exactly* via its descriptor
-    /// instead of conservatively word-by-word.
-    ///
-    /// # Errors
-    ///
-    /// As [`Heap::alloc`]; additionally the descriptor must cover the
-    /// object (`bytes >= 4 * descriptor words` is not required — extra
-    /// object words are treated as non-pointer).
-    pub fn alloc_typed(
-        &mut self,
-        space: &mut AddressSpace,
-        bytes: u32,
-        desc: DescriptorId,
-        pred: PagePredicate<'_>,
-    ) -> Result<Addr, HeapError> {
-        self.alloc_with(space, bytes, ObjectKind::Composite, Some(desc), pred)
-    }
-
     /// The descriptor of a typed object, if `base` is the base of an
     /// allocated slot whose object was allocated typed: a page lookup and
     /// an index into the block's descriptor side table.
@@ -625,6 +616,51 @@ impl Heap {
         }
     }
 
+    /// Records a mutator write to `addr` in the dirty-page set (the write
+    /// barrier's card table, at page granularity): sets the page's dirty
+    /// bit. Writes outside [`in_heap_range`](Heap::in_heap_range) are
+    /// ignored. Dirty bits survive a page's block being released and its
+    /// reuse, and change no page's block, so the resolve epoch stays put.
+    #[inline]
+    pub fn note_write(&mut self, addr: Addr) {
+        if self.in_heap_range(addr) {
+            let table = &mut self.page_table;
+            let v = table.slot_mut(addr.page());
+            if *v & PageTable::DIRTY == 0 {
+                *v |= PageTable::DIRTY;
+                table.dirty += 1;
+            }
+        }
+    }
+
+    /// The dirty pages, in ascending order.
+    pub fn dirty_pages(&self) -> impl Iterator<Item = PageIdx> + '_ {
+        let table = &self.page_table;
+        let slots = if table.dirty == 0 {
+            &[][..]
+        } else {
+            &table.slots[..]
+        };
+        (table.first..)
+            .zip(slots)
+            .filter(|&(_, &v)| v & PageTable::DIRTY != 0)
+            .map(|(page, _)| PageIdx::new(page))
+    }
+
+    /// Number of dirty pages.
+    pub fn dirty_page_count(&self) -> u32 {
+        self.page_table.dirty
+    }
+
+    /// Empties the dirty-page set.
+    pub fn clear_dirty(&mut self) {
+        let table = &mut self.page_table;
+        if table.dirty > 0 {
+            table.slots.iter_mut().for_each(|v| *v &= !PageTable::DIRTY);
+            table.dirty = 0;
+        }
+    }
+
     /// Allocates an object of `bytes` bytes and `kind`, placing new blocks
     /// only on pages accepted by `pred`.
     ///
@@ -656,9 +692,16 @@ impl Heap {
         self.alloc_with(space, bytes, kind, None, pred)
     }
 
-    /// [`Heap::alloc`], recording `desc` (typed) or resetting (untyped)
-    /// the slot's descriptor entry.
-    fn alloc_with(
+    /// [`Heap::alloc`] for either layout. With `desc`, the object is
+    /// typed: scanned *exactly* via its descriptor instead of
+    /// conservatively word-by-word, with object words past the descriptor
+    /// treated as non-pointers. Without, the slot's descriptor entry is
+    /// reset.
+    ///
+    /// # Errors
+    ///
+    /// As [`Heap::alloc`].
+    pub fn alloc_with(
         &mut self,
         space: &mut AddressSpace,
         bytes: u32,

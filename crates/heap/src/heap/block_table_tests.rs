@@ -291,3 +291,111 @@ fn writing_a_page_below_the_base_fails_loudly() {
     let below = PageIdx::new(Addr::new(0x0003_0000).page().raw() - 1);
     heap.page_table.set(below, BlockId(0));
 }
+
+/// The pages `note_write` recorded, as raw page numbers.
+fn dirty(heap: &Heap) -> Vec<u32> {
+    heap.dirty_pages().map(PageIdx::raw).collect()
+}
+
+#[test]
+fn writes_outside_the_heap_leave_the_dirty_set_alone() {
+    // An ordinary base, one whose heap grows up to the ceiling, and one
+    // where a foreign segment occupies the base, so the heap starts above.
+    for (base, occupied) in [
+        (0x0003_0000u32, false),
+        (0xFFF0_0000, false),
+        (0x0003_0000, true),
+    ] {
+        let mut space = AddressSpace::new(Endian::Big);
+        if occupied {
+            let spec = SegmentSpec::new(
+                "foreign",
+                SegmentKind::Data,
+                Addr::new(base),
+                2 * PAGE_BYTES,
+            );
+            space.map(spec).unwrap();
+        }
+        let mut heap = Heap::new(HeapConfig {
+            heap_base: Addr::new(base),
+            growth_pages: 16,
+            ..HeapConfig::default()
+        });
+        heap.note_write(Addr::new(base));
+        assert_eq!(heap.dirty_page_count(), 0, "an empty heap has no pages");
+        while heap
+            .alloc(&mut space, PAGE_BYTES, ObjectKind::Atomic, &mut accept_all)
+            .is_ok()
+            && heap.stats().mapped_pages < 300
+        {}
+        let (lo, hi) = (heap.lo().unwrap(), heap.hi());
+        if base > 0x8000_0000 {
+            assert_eq!(hi, Addr::new(0xFFFF_F000), "the heap reached the top page");
+        }
+        assert_eq!(lo > Addr::new(base), occupied);
+        let mut outside = vec![hi, Addr::new(0xFFFF_F000), Addr::new(u32::MAX - 3)];
+        outside.extend(lo.checked_sub(4));
+        if occupied {
+            outside.push(Addr::new(base));
+        }
+        outside.extend(hi.checked_add(4));
+        for a in outside {
+            heap.note_write(a);
+        }
+        assert_eq!(heap.dirty_page_count(), 0, "base {base:#x}");
+        assert_eq!(dirty(&heap), Vec::<u32>::new());
+        heap.note_write(hi - 4);
+        heap.note_write(lo);
+        assert_eq!(dirty(&heap), [lo.page().raw(), (hi - 4).page().raw()]);
+    }
+}
+
+#[test]
+fn dirty_pages_come_out_ascending_and_counted_exactly() {
+    let (mut space, mut heap) = setup(64);
+    while heap.stats().mapped_pages < 64 {
+        alloc(&mut space, &mut heap, 5000);
+    }
+    let first = heap.lo().unwrap().page().raw();
+    let pages = heap.stats().mapped_pages;
+    let mut want = std::collections::BTreeSet::new();
+    for k in 0..300u32 {
+        // Descending-ish, repeating page order; any offset in the page.
+        let page = first + (pages - 1) - (k * 37) % pages;
+        heap.note_write(Addr::new(page * PAGE_BYTES + (k * 52) % PAGE_BYTES));
+        want.insert(page);
+        assert_eq!(heap.dirty_page_count() as usize, want.len());
+    }
+    assert_eq!(dirty(&heap), want.into_iter().collect::<Vec<_>>());
+}
+
+#[test]
+fn the_dirty_bit_survives_release_and_reuse_without_an_epoch_bump() {
+    let (mut space, mut heap) = setup(64);
+    let a = alloc(&mut space, &mut heap, 8);
+    let other = alloc(&mut space, &mut heap, 5000);
+    let epoch = heap.page_table.epoch;
+    heap.note_write(a);
+    heap.note_write(other + 4096);
+    assert_eq!(heap.page_table.epoch, epoch, "dirtying maps no block");
+    // Nothing marked: both blocks are released.
+    heap.clear_marks();
+    heap.sweep(false);
+    assert_eq!(heap.page_table.get(a.page()), None, "released");
+    assert_eq!(dirty(&heap), [a.page().raw(), (other + 4096).page().raw()]);
+    // The released page is mapped to a new block.
+    let b = alloc(&mut space, &mut heap, 24);
+    assert_eq!(b.page(), a.page(), "the lowest free page is reused");
+    assert!(heap.page_table.get(b.page()).is_some());
+    assert_eq!(heap.dirty_page_count(), 2);
+    assert_eq!(dirty(&heap)[0], b.page().raw());
+    let epoch = heap.page_table.epoch;
+    heap.clear_dirty();
+    assert_eq!(heap.page_table.epoch, epoch, "clearing maps no block");
+    assert_eq!(heap.dirty_page_count(), 0);
+    assert_eq!(dirty(&heap), Vec::<u32>::new());
+    assert_eq!(
+        heap.page_table.get(b.page()),
+        heap.object_containing(b).map(|o| o.block)
+    );
+}

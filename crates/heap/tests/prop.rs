@@ -7,7 +7,7 @@ use gc_heap::{
 use gc_vmspace::{Addr, AddressSpace, Endian, PageIdx, PAGE_BYTES};
 use proptest::prelude::*;
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 fn heap(policy: FreeListPolicy) -> (AddressSpace, Heap) {
     let space = AddressSpace::new(Endian::Big);
@@ -216,6 +216,24 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// An operation in a random dirty-set trace.
+#[derive(Debug, Clone)]
+enum DirtyOp {
+    Alloc(u32),
+    Write(u32),
+    SweepNothingMarked,
+    Clear,
+}
+
+fn arb_dirty_op() -> impl Strategy<Value = DirtyOp> {
+    prop_oneof![
+        4 => (1u32..6000).prop_map(DirtyOp::Alloc),
+        8 => (0u32..96 * PAGE_BYTES).prop_map(DirtyOp::Write),
+        1 => Just(DirtyOp::SweepNothingMarked),
+        1 => Just(DirtyOp::Clear),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -262,6 +280,46 @@ proptest! {
             prop_assert!(bases.contains(&a.raw()));
         }
         prop_assert_eq!(bases.len(), live.len());
+    }
+
+    /// The dirty-page set is exactly the set of heap pages written since
+    /// it was last cleared, listed in ascending order, across allocation,
+    /// growth and sweeps that release and reuse pages; and dirty bits
+    /// never disturb what a page resolves to.
+    #[test]
+    fn dirty_pages_match_a_reference_set(
+        ops in proptest::collection::vec(arb_dirty_op(), 1..150),
+    ) {
+        let (mut space, mut heap) = heap(FreeListPolicy::AddressOrdered);
+        let base = Addr::new(0x10_0000);
+        let mut want: BTreeSet<u32> = BTreeSet::new();
+        for op in ops {
+            match op {
+                DirtyOp::Alloc(bytes) => {
+                    heap.alloc(&mut space, bytes, ObjectKind::Composite, &mut accept_all).unwrap();
+                }
+                DirtyOp::Write(offset) => {
+                    // From two pages below the base to well past the break.
+                    let addr = Addr::new(base.raw() - 2 * PAGE_BYTES + offset);
+                    if addr >= base && addr < heap.hi() {
+                        want.insert(addr.page().raw());
+                    }
+                    heap.note_write(addr);
+                }
+                DirtyOp::SweepNothingMarked => {
+                    heap.clear_marks();
+                    heap.sweep(false);
+                }
+                DirtyOp::Clear => {
+                    heap.clear_dirty();
+                    want.clear();
+                }
+            }
+            prop_assert_eq!(heap.dirty_page_count() as usize, want.len());
+            let got: Vec<u32> = heap.dirty_pages().map(PageIdx::raw).collect();
+            prop_assert_eq!(got, want.iter().copied().collect::<Vec<_>>());
+            check_invariants(&heap);
+        }
     }
 
     /// Allocation never returns overlapping or duplicate addresses, and
@@ -542,7 +600,7 @@ proptest! {
                 let bytes = ORACLE_SIZES[size];
                 // 0, 1: typed with that descriptor; 2: composite; 3: atomic.
                 let addr = match how {
-                    0 | 1 => heap.alloc_typed(&mut space, bytes, ids[how as usize], &mut accept_all),
+                    0 | 1 => heap.alloc_with(&mut space, bytes, ObjectKind::Composite, Some(ids[how as usize]), &mut accept_all),
                     2 => heap.alloc(&mut space, bytes, ObjectKind::Composite, &mut accept_all),
                     _ => heap.alloc(&mut space, bytes, ObjectKind::Atomic, &mut accept_all),
                 }
@@ -681,7 +739,13 @@ fn kernel_heap(rounds: &[KernelRound], pending: bool, premark: u64) -> (Heap, Ve
         for &(size, how) in allocs {
             let bytes = ORACLE_SIZES[size];
             let addr = match how {
-                0 | 1 => heap.alloc_typed(&mut space, bytes, ids[how as usize], &mut accept_all),
+                0 | 1 => heap.alloc_with(
+                    &mut space,
+                    bytes,
+                    ObjectKind::Composite,
+                    Some(ids[how as usize]),
+                    &mut accept_all,
+                ),
                 2 => heap.alloc(&mut space, bytes, ObjectKind::Composite, &mut accept_all),
                 _ => heap.alloc(&mut space, bytes, ObjectKind::Atomic, &mut accept_all),
             }

@@ -485,9 +485,11 @@ impl Machine {
             .expect("workload reads mapped memory")
     }
 
-    /// Stores a word to simulated memory, running the generational write
-    /// barrier (a no-op unless the collector is generational and `addr` is
-    /// in the heap).
+    /// Stores a word to simulated memory, running the write barrier: it
+    /// dirties `addr`'s heap page when the collector is generational or an
+    /// incremental cycle is in progress, and is a no-op otherwise or
+    /// outside the heap (see
+    /// [`Collector::record_write`](gc_core::Collector::record_write)).
     ///
     /// # Panics
     ///

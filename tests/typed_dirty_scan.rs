@@ -1,5 +1,5 @@
 //! Regression tests for the typed-object dirty-page scanning bug: the
-//! card/remembered-set scan (`scan_pages_impl`) used to ignore descriptors
+//! card/remembered-set scan (now `scan_dirty_pages`) used to ignore descriptors
 //! and scan *typed* composite objects fully conservatively, so an integer
 //! in a declared data word could resurrect a dead young object during a
 //! minor collection (or an incremental card catch-up) that a full
