@@ -114,7 +114,10 @@ pub fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
 ///
 /// # Panics
 ///
-/// Panics when the value is not a positive integer.
+/// Panics when the value is not an integer in
+/// `1..=`[`MAX_MARK_THREADS`](gc_core::MAX_MARK_THREADS): the collector
+/// would silently clamp a larger count, and the report would name workers
+/// that never ran.
 pub fn take_mark_threads(args: &mut Vec<String>) -> u32 {
     match take_option(args, "--mark-threads") {
         None => 1,
@@ -123,6 +126,11 @@ pub fn take_mark_threads(args: &mut Vec<String>) -> u32 {
                 .parse()
                 .unwrap_or_else(|_| panic!("--mark-threads needs a number, got {v:?}"));
             assert!(n >= 1, "--mark-threads must be at least 1");
+            assert!(
+                n <= gc_core::MAX_MARK_THREADS,
+                "--mark-threads must be at most {}",
+                gc_core::MAX_MARK_THREADS
+            );
             n
         }
     }
@@ -197,6 +205,16 @@ mod tests {
     #[should_panic(expected = "needs a number")]
     fn mark_threads_rejects_garbage() {
         take_mark_threads(&mut args(&["--mark-threads", "lots"]));
+    }
+
+    #[test]
+    #[should_panic(expected = "--mark-threads must be at most 16")]
+    fn mark_threads_rejects_more_than_the_collector_runs() {
+        assert_eq!(
+            take_mark_threads(&mut args(&["--mark-threads", "16"])),
+            gc_core::MAX_MARK_THREADS
+        );
+        take_mark_threads(&mut args(&["--mark-threads", "100"]));
     }
 
     #[test]

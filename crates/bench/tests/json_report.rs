@@ -22,6 +22,13 @@ fn gcbench_json_report_is_complete_and_consistent() {
     let out_path = std::env::temp_dir().join(format!("gcbench-{}.json", std::process::id()));
     let status = Command::new(env!("CARGO_BIN_EXE_gcbench"))
         .args(["--json", out_path.to_str().expect("utf-8 temp path")])
+        // The collector's defaults read no environment, so these must not
+        // reach any snapshot's configuration.
+        .envs([
+            ("GC_MARK_THREADS", "4"),
+            ("GC_LAZY_SWEEP", "1"),
+            ("GC_RESOLVE_CACHE", "0"),
+        ])
         .status()
         .expect("gcbench runs");
     assert!(status.success(), "gcbench exits cleanly");
@@ -63,6 +70,15 @@ fn gcbench_json_report_is_complete_and_consistent() {
             "{key} appears in every snapshot"
         );
     }
+
+    // gcbench pins `mark_threads` and `lazy_sweep` itself; the resolve
+    // cache keeps its default whatever the environment says.
+    assert_eq!(
+        json.matches("\"resolve_cache\":true").count(),
+        snapshots,
+        "every snapshot's config keeps the default resolve cache"
+    );
+    assert!(!json.contains("\"resolve_cache\":false"));
 
     // Phase-sum invariant: every last-collection record's phases fit in
     // its recorded total duration.

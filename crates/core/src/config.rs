@@ -185,8 +185,6 @@ pub struct GcConfig {
     /// blacklist contents and dump output. Values are clamped into
     /// `1..=MAX_MARK_THREADS`. Incremental tracing increments are always
     /// serial (they are budgeted mutator pauses, not a throughput phase).
-    /// The default honours the `GC_MARK_THREADS` environment variable so a
-    /// whole test run can be switched to parallel marking externally.
     pub mark_threads: u32,
     /// Defer sweeping to the allocation slow path: collections stop at a
     /// per-block sweep *snapshot* (exact survivor accounting, no free-list
@@ -197,9 +195,8 @@ pub struct GcConfig {
     /// pauses shrink by the deferred free-list work; liveness queries,
     /// censuses and retention are unchanged. Use
     /// [`Collector::finish_sweep`](crate::Collector::finish_sweep) before
-    /// whole-heap analyses that must see final page accounting. The default
-    /// honours the `GC_LAZY_SWEEP` environment variable (`1` enables) so a
-    /// whole test run can be switched externally.
+    /// whole-heap analyses that must see final page accounting. Off by
+    /// default: the paper's collector sweeps eagerly inside the pause.
     pub lazy_sweep: bool,
     /// Consult a small direct-mapped page → block resolve cache
     /// ([`PageResolveCache`](gc_heap::PageResolveCache)) during candidate
@@ -209,9 +206,7 @@ pub struct GcConfig {
     /// skips repeated page-table walks for same-page candidates; its
     /// hit/miss counts are surfaced in
     /// [`CollectionStats`](crate::CollectionStats) and the metrics
-    /// snapshot. The default honours the `GC_RESOLVE_CACHE` environment
-    /// variable (`0` disables) so a whole test run can be switched
-    /// externally.
+    /// snapshot. On by default.
     pub resolve_cache: bool,
     /// Spawn exactly [`mark_threads`](GcConfig::mark_threads) workers even
     /// when that exceeds the machine's available cores. Normally the
@@ -247,38 +242,13 @@ impl Default for GcConfig {
             full_gc_every: 8,
             incremental: false,
             incremental_budget: 512,
-            mark_threads: mark_threads_from_env(),
-            lazy_sweep: lazy_sweep_from_env(),
-            resolve_cache: resolve_cache_from_env(),
+            mark_threads: 1,
+            lazy_sweep: false,
+            resolve_cache: true,
             mark_threads_force: false,
             observer: None,
         }
     }
-}
-
-/// The `GC_MARK_THREADS` default: lets CI run the whole suite with
-/// parallel marking without touching any call site. Unset, empty or
-/// unparsable values mean serial.
-fn mark_threads_from_env() -> u32 {
-    std::env::var("GC_MARK_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .map_or(1, |n| n.clamp(1, MAX_MARK_THREADS))
-}
-
-/// The `GC_LAZY_SWEEP` default: `1` turns lazy sweeping on for every
-/// default-constructed config, so CI can run the whole suite in lazy mode.
-/// Unset, empty or anything but `1` means eager.
-fn lazy_sweep_from_env() -> bool {
-    std::env::var("GC_LAZY_SWEEP").is_ok_and(|v| v.trim() == "1")
-}
-
-/// The `GC_RESOLVE_CACHE` default: `0` turns the mark-phase resolve cache
-/// off for every default-constructed config, so CI can difference the
-/// cached and uncached paths externally. Unset, empty or anything but `0`
-/// means on (the cache is bit-identical, so on is the safe default).
-fn resolve_cache_from_env() -> bool {
-    !std::env::var("GC_RESOLVE_CACHE").is_ok_and(|v| v.trim() == "0")
 }
 
 impl GcConfig {
@@ -449,6 +419,9 @@ mod tests {
         assert_eq!(c.pointer_policy, PointerPolicy::AllInterior);
         assert_eq!(c.scan_alignment, ScanAlignment::Word);
         assert!(c.allow_atomic_on_blacklist);
+        assert_eq!(c.mark_threads, 1, "serial marking, as in figure 2");
+        assert!(!c.lazy_sweep, "eager sweep inside the pause");
+        assert!(c.resolve_cache);
     }
 
     #[test]

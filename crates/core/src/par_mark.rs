@@ -65,9 +65,6 @@ struct Shared<'a> {
     vic_lo: u64,
     vic_hi: u64,
     minor: bool,
-    /// [`MarkBit::Single`] with one worker total, which may skip the
-    /// atomic read-modify-write; [`MarkBit::Atomic`] otherwise.
-    bit: MarkBit,
     /// Each worker keeps a private [`PageResolveCache`] when enabled.
     resolve_cache: bool,
 }
@@ -95,7 +92,8 @@ pub(crate) struct ParallelOutcome {
 }
 
 /// Drains `seeds` (already-marked composite objects) to the transitive
-/// fixed point using `nworkers` scoped threads.
+/// fixed point using `nworkers` (at least 2) scoped threads; a serial
+/// drain is the collector's own [`Marker`](crate::mark::Marker).
 pub(crate) fn par_drain(
     space: &AddressSpace,
     heap: &Heap,
@@ -105,7 +103,7 @@ pub(crate) fn par_drain(
     seeds: Vec<ObjRef>,
     nworkers: usize,
 ) -> ParallelOutcome {
-    let nworkers = nworkers.max(1);
+    debug_assert!(nworkers >= 2, "one worker is the serial marker's job");
     let shared = Shared {
         space,
         heap,
@@ -116,43 +114,30 @@ pub(crate) fn par_drain(
         vic_lo: vicinity.0,
         vic_hi: vicinity.1,
         minor,
-        bit: if nworkers == 1 {
-            MarkBit::Single
-        } else {
-            MarkBit::Atomic
-        },
         resolve_cache: config.resolve_cache,
     };
-    let results: Vec<WorkerResult> = if nworkers == 1 {
-        // One worker: run the drain inline on the calling thread with a
-        // plain mark stack. Spawning a thread to immediately join it buys
-        // nothing, and sharing machinery (batches, deques, termination
-        // counter) is pure per-object overhead with nobody to share with.
-        vec![drain_single(&shared, seeds)]
-    } else {
-        let queues: Vec<StealDeque<Batch>> = (0..nworkers).map(|_| StealDeque::new()).collect();
-        let seed_batches: Vec<Batch> = seeds.chunks(BATCH).map(<[ObjRef]>::to_vec).collect();
-        let inflight = InFlight::new(seed_batches.len() as u64);
-        for (i, batch) in seed_batches.into_iter().enumerate() {
-            queues[i % nworkers].push(batch);
-        }
-        let hungry = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..nworkers)
-                .map(|w| {
-                    let shared = &shared;
-                    let queues = &queues;
-                    let inflight = &inflight;
-                    let hungry = &hungry;
-                    s.spawn(move || worker_loop(shared, w, queues, inflight, hungry))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("mark worker panicked"))
-                .collect()
-        })
-    };
+    let queues: Vec<StealDeque<Batch>> = (0..nworkers).map(|_| StealDeque::new()).collect();
+    let seed_batches: Vec<Batch> = seeds.chunks(BATCH).map(<[ObjRef]>::to_vec).collect();
+    let inflight = InFlight::new(seed_batches.len() as u64);
+    for (i, batch) in seed_batches.into_iter().enumerate() {
+        queues[i % nworkers].push(batch);
+    }
+    let hungry = AtomicUsize::new(0);
+    let results: Vec<WorkerResult> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..nworkers)
+            .map(|w| {
+                let shared = &shared;
+                let queues = &queues;
+                let inflight = &inflight;
+                let hungry = &hungry;
+                s.spawn(move || worker_loop(shared, w, queues, inflight, hungry))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("mark worker panicked"))
+            .collect()
+    });
 
     let mut out = MarkOutcome::default();
     let mut workers = Vec::with_capacity(nworkers);
@@ -174,21 +159,6 @@ pub(crate) fn par_drain(
         workers,
         false_pages: pages.into_iter().collect(),
     }
-}
-
-/// The one-worker drain: the serial mark loop over the parallel scan path.
-fn drain_single(shared: &Shared<'_>, seeds: Vec<ObjRef>) -> WorkerResult {
-    let start = Instant::now();
-    let mut res = WorkerResult::default();
-    let mut cache = shared.resolve_cache.then(PageResolveCache::new);
-    let mut hint = SegmentHint::new();
-    let mut local = seeds;
-    while let Some(obj) = local.pop() {
-        scan_object(shared, obj, &mut local, &mut res, &mut cache, &mut hint);
-    }
-    finish_cache(&mut res, cache);
-    res.duration = start.elapsed();
-    res
 }
 
 /// Folds a worker's private cache counters into its result.
@@ -322,7 +292,7 @@ fn consider(
     let accept = |base| shared.policy.accepts(addr, base);
     match shared
         .heap
-        .mark_candidate(addr, cache.as_mut(), shared.minor, accept, shared.bit)
+        .mark_candidate(addr, cache.as_mut(), shared.minor, accept, MarkBit::Atomic)
     {
         MarkHit::Invalid => {
             res.out.false_refs_near_heap += 1;

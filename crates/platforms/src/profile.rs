@@ -56,11 +56,11 @@ pub struct BuildOptions {
     /// Interior-pointer policy (Table 1 uses the default,
     /// [`PointerPolicy::AllInterior`](gc_core::PointerPolicy)).
     pub pointer_policy: gc_core::PointerPolicy,
-    /// Mark-phase worker threads; `None` inherits the collector default
-    /// (1, or the `GC_MARK_THREADS` environment override).
+    /// Mark-phase worker threads; `None` keeps the collector default, 1
+    /// (the serial marker).
     pub mark_threads: Option<u32>,
-    /// Lazy (allocation-driven) sweeping; `None` inherits the collector
-    /// default (eager, or the `GC_LAZY_SWEEP` environment override).
+    /// Lazy (allocation-driven) sweeping; `None` keeps the collector
+    /// default, an eager sweep.
     pub lazy_sweep: Option<bool>,
 }
 

@@ -60,7 +60,7 @@ enum Mode {
     Incremental,
 }
 
-fn machine(seed: u64, mode: Mode, mark_threads: u32) -> Machine {
+fn machine(seed: u64, mode: Mode, mark_threads: u32, lazy_sweep: bool) -> Machine {
     let mut m = Machine::new(MachineConfig {
         endian: Endian::Big,
         gc: GcConfig {
@@ -80,6 +80,7 @@ fn machine(seed: u64, mode: Mode, mark_threads: u32) -> Machine {
             // Really spawn the workers even on a single-core host: the
             // torture trace is the nastiest racing workload we have.
             mark_threads_force: mark_threads > 1,
+            lazy_sweep,
             ..GcConfig::default()
         },
         frame: FramePolicy {
@@ -151,9 +152,9 @@ fn check(m: &Machine, shadow: &Shadow) {
     }
 }
 
-fn torture(seed: u64, mode: Mode, steps: u32, mark_threads: u32) {
+fn torture(seed: u64, mode: Mode, steps: u32, (mark_threads, lazy_sweep): (u32, bool)) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut m = machine(seed, mode, mark_threads);
+    let mut m = machine(seed, mode, mark_threads, lazy_sweep);
     let roots_base = m.alloc_static(ROOT_SLOTS);
     let mut shadow = Shadow {
         roots: vec![0; ROOT_SLOTS as usize],
@@ -282,14 +283,16 @@ fn prune_and_check(m: &mut Machine, shadow: &mut Shadow) {
 }
 
 /// Every torture configuration runs under serial marking and under four
-/// forced (really racing) mark workers — same trace, same shadow model.
-const MARK_THREADS: [u32; 2] = [1, 4];
+/// forced (really racing) mark workers, each with eager and with lazy
+/// sweeping — same trace, same shadow model. Pairs are
+/// `(mark_threads, lazy_sweep)`.
+const CONFIGS: [(u32, bool); 4] = [(1, false), (1, true), (4, false), (4, true)];
 
 #[test]
 fn torture_full_collections() {
     for seed in [1u64, 2, 3, 4] {
-        for threads in MARK_THREADS {
-            torture(seed, Mode::StopWorld, 1500, threads);
+        for cfg in CONFIGS {
+            torture(seed, Mode::StopWorld, 1500, cfg);
         }
     }
 }
@@ -297,8 +300,8 @@ fn torture_full_collections() {
 #[test]
 fn torture_generational() {
     for seed in [5u64, 6, 7, 8] {
-        for threads in MARK_THREADS {
-            torture(seed, Mode::Generational, 1500, threads);
+        for cfg in CONFIGS {
+            torture(seed, Mode::Generational, 1500, cfg);
         }
     }
 }
@@ -306,16 +309,16 @@ fn torture_generational() {
 #[test]
 fn torture_incremental() {
     for seed in [9u64, 10, 11, 12] {
-        for threads in MARK_THREADS {
-            torture(seed, Mode::Incremental, 1500, threads);
+        for cfg in CONFIGS {
+            torture(seed, Mode::Incremental, 1500, cfg);
         }
     }
 }
 
 #[test]
 fn torture_long_single_run() {
-    for threads in MARK_THREADS {
-        torture(42, Mode::Generational, 6000, threads);
-        torture(43, Mode::Incremental, 6000, threads);
+    for cfg in CONFIGS {
+        torture(42, Mode::Generational, 6000, cfg);
+        torture(43, Mode::Incremental, 6000, cfg);
     }
 }
