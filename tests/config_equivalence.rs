@@ -1,340 +1,36 @@
-//! The collector's implementation knobs — parallel marking, lazy
-//! sweeping and the page-resolve cache — are observationally identical to
-//! the paper's serial, eager collector: every configuration of
-//! [`configs`] is compared, exactly, on randomized typed+untyped traces
-//! (fingerprinted after every collection, live set read mid-pending), on
-//! Table-1 retention and on GCBench classic. Only durations, per-worker
-//! splits and the resolve telemetry (zero exactly when the cache is off)
-//! may differ — and, between the two sweeps, where later objects land: a
-//! lazily swept block with no survivors is released only when its own
-//! size class next allocates, so another class's fresh block can go
-//! elsewhere. Across sweeps the traces therefore compare *which* objects
-//! survive (allocation ordinals); live addresses are compared between
-//! configurations that sweep alike. `GcConfig::default()` reads no
-//! environment, so each configuration is an explicit input.
+//! Configurations that move two or more of the collector's knobs at once
+//! — parallel marking, lazy sweeping, the page-resolve cache — are
+//! observationally identical to the paper's serial, eager collector: the
+//! crossed entries of the one configuration list, compared exactly with
+//! the baseline on randomized traces and Table-1 retention, and GCBench
+//! classic under forced racing workers and under lazy sweeping. Each
+//! single knob has its own file (`parallel_mark_diff.rs`,
+//! `lazy_sweep_diff.rs`, `resolve_cache_diff.rs`); all share
+//! `equivalence/mod.rs`.
 
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
-use sec_gc::analysis::table1;
-use sec_gc::core::{observer, CollectionStats, GcConfig, GcEvent, GcObserver};
-use sec_gc::heap::{Descriptor, HeapConfig, ObjectKind};
-use sec_gc::machine::{Machine, MachineConfig};
-use sec_gc::platforms::{BuildOptions, Platform, Profile};
-use sec_gc::vmspace::{Addr, Endian};
-use sec_gc::workloads::{GcBench, ProgramTReport};
-use std::collections::HashMap;
+mod equivalence;
 
-const ROOT_SLOTS: u32 = 12;
-
-/// One compared configuration of the collector.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Cfg {
-    mark_threads: u32,
-    /// Spawn every worker even past the core count, so they really race.
-    force: bool,
-    lazy_sweep: bool,
-    resolve_cache: bool,
-}
-
-impl Cfg {
-    /// The paper's collector: one serial marker, an eager sweep.
-    const BASELINE: Cfg = Cfg {
-        mark_threads: 1,
-        force: false,
-        lazy_sweep: false,
-        resolve_cache: true,
-    };
-    /// The baseline with lazy sweeping.
-    const LAZY: Cfg = Cfg {
-        lazy_sweep: true,
-        ..Cfg::BASELINE
-    };
-
-    fn apply(self, gc: &mut GcConfig) {
-        gc.mark_threads = self.mark_threads;
-        gc.mark_threads_force = self.force;
-        gc.lazy_sweep = self.lazy_sweep;
-        gc.resolve_cache = self.resolve_cache;
-    }
-}
-
-/// Every configuration compared with the baseline: {1; forced 2, 4, 8;
-/// unforced 4 (clamped to the host's cores)} × {eager, lazy} ×
-/// {cache on, off}. Retiring a knob means deleting its axis here.
-fn configs() -> Vec<Cfg> {
-    let mut out = Vec::new();
-    for (mark_threads, force) in [(1, false), (2, true), (4, true), (8, true), (4, false)] {
-        for lazy_sweep in [false, true] {
-            for resolve_cache in [true, false] {
-                out.push(Cfg {
-                    mark_threads,
-                    force,
-                    lazy_sweep,
-                    resolve_cache,
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Everything observable about one collection that must not depend on the
-/// configuration.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct CollectionFingerprint {
-    root_words_scanned: u64,
-    heap_words_scanned: u64,
-    candidates_in_range: u64,
-    valid_pointers: u64,
-    false_refs_near_heap: u64,
-    newly_blacklisted: u32,
-    blacklist_pages: u32,
-    objects_marked: u64,
-    bytes_marked: u64,
-    objects_freed: u64,
-    bytes_freed: u64,
-    objects_live: u64,
-    bytes_live: u64,
-    /// Sorted allocation ordinals of every surviving object: which
-    /// objects survived.
-    survivors: Vec<u32>,
-    /// Sorted bases of every surviving object, observed before any
-    /// deferred sweep work is realized: where they are.
-    live_objects: Vec<u32>,
-    /// Sorted blacklisted pages after the cycle.
-    blacklisted: Vec<u32>,
-}
-
-/// `ordinals` maps each object base the trace allocated to its allocation
-/// ordinal.
-fn fingerprint(
-    m: &Machine,
-    stats: &CollectionStats,
-    ordinals: &HashMap<u32, u32>,
-) -> CollectionFingerprint {
-    let heap = m.gc().heap();
-    let mut live_objects: Vec<u32> = heap.live_objects().map(|o| o.base.raw()).collect();
-    live_objects.sort_unstable();
-    let mut survivors: Vec<u32> = live_objects.iter().map(|a| ordinals[a]).collect();
-    survivors.sort_unstable();
-    // The heap's aggregate view agrees with the walk even mid-pending.
-    let walk_bytes: u64 = heap.live_objects().map(|o| u64::from(o.bytes)).sum();
-    assert_eq!(heap.stats().bytes_live, walk_bytes, "bytes_live vs walk");
-    let mut blacklisted: Vec<u32> = m.gc().blacklist().pages().iter().map(|p| p.raw()).collect();
-    blacklisted.sort_unstable();
-    CollectionFingerprint {
-        root_words_scanned: stats.root_words_scanned,
-        heap_words_scanned: stats.heap_words_scanned,
-        candidates_in_range: stats.candidates_in_range,
-        valid_pointers: stats.valid_pointers,
-        false_refs_near_heap: stats.false_refs_near_heap,
-        newly_blacklisted: stats.newly_blacklisted,
-        blacklist_pages: stats.blacklist_pages,
-        objects_marked: stats.objects_marked,
-        bytes_marked: stats.bytes_marked,
-        objects_freed: stats.sweep.objects_freed,
-        bytes_freed: stats.sweep.bytes_freed,
-        objects_live: stats.sweep.objects_live,
-        bytes_live: stats.sweep.bytes_live,
-        survivors,
-        live_objects,
-        blacklisted,
-    }
-}
-
-/// Runs a deterministic randomized typed+untyped workload and fingerprints
-/// every collection; also returns the summed resolve hit+miss counters.
-/// Only `cfg` varies between compared runs.
-fn run_trace(seed: u64, generational: bool, cfg: Cfg) -> (Vec<CollectionFingerprint>, u64) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut gc = GcConfig {
-        heap: HeapConfig {
-            heap_base: Addr::new(0x10_0000),
-            max_heap_bytes: 16 << 20,
-            growth_pages: 16,
-            ..HeapConfig::default()
-        },
-        blacklisting: true,
-        generational,
-        min_bytes_between_gcs: u64::MAX,
-        free_space_divisor: 1 << 24,
-        ..GcConfig::default()
-    };
-    cfg.apply(&mut gc);
-    let mut m = Machine::new(MachineConfig {
-        endian: Endian::Big,
-        gc,
-        seed,
-        ..MachineConfig::default()
-    });
-    m.add_static_segment(Addr::new(0x2_0000), 4096);
-    let roots = m.alloc_static(ROOT_SLOTS);
-    // Static junk in the heap's vicinity: false references with root
-    // provenance, so blacklisting has work to do.
-    let junk = m.alloc_static(8);
-    for i in 0..8u32 {
-        m.store(junk + i * 4, 0x10_0000 + rng.random_range(0..2u32 << 20));
-    }
-    // Typed layouts: [ptr, data, data], [data, ptr, data, ptr],
-    // [ptr, data, ptr, data, data, data].
-    let descs = [
-        Descriptor::with_pointers_at(3, &[0]),
-        Descriptor::with_pointers_at(4, &[1, 3]),
-        Descriptor::with_pointers_at(6, &[0, 2]),
-    ]
-    .map(|d| m.gc_mut().register_descriptor(d));
-
-    let mut fingerprints = Vec::new();
-    let mut resolves = 0u64;
-    let mut recent: Vec<u32> = Vec::new();
-    let mut ordinals: HashMap<u32, u32> = HashMap::new();
-    for step in 0..500u32 {
-        match rng.random_range(0..100u32) {
-            // A fresh untyped (0..30) or typed object, rooted somewhere.
-            op @ 0..=44 => {
-                let obj = if op < 30 {
-                    let bytes = [12u32, 16, 24, 48][rng.random_range(0..4) as usize];
-                    m.alloc(bytes, ObjectKind::Composite)
-                } else {
-                    let i = rng.random_range(0..3) as usize;
-                    m.alloc_typed([3u32, 4, 6][i] * 4, descs[i])
-                }
-                .expect("heap has room");
-                m.store(roots + rng.random_range(0..ROOT_SLOTS) * 4, obj.raw());
-                recent.push(obj.raw());
-                ordinals.insert(obj.raw(), step);
-            }
-            // Link two recent objects through an arbitrary field. For a
-            // typed target field this is an edge only if the field is a
-            // declared pointer word.
-            45..=69 => {
-                if recent.len() >= 2 {
-                    let from = recent[rng.random_range(0..recent.len())];
-                    let to = recent[rng.random_range(0..recent.len())];
-                    m.store(Addr::new(from) + rng.random_range(0..3u32) * 4, to);
-                }
-            }
-            // A heap-sourced false reference stored inside an object: the
-            // provenance class parallel workers buffer and merge.
-            70..=79 => {
-                if !recent.is_empty() {
-                    let host = recent[rng.random_range(0..recent.len())];
-                    let near = (0x10_0000 + rng.random_range(0..4u32 << 20)) | 1;
-                    m.store(Addr::new(host) + 4, near);
-                }
-            }
-            // Unroot a slot.
-            80..=89 => m.store(roots + rng.random_range(0..ROOT_SLOTS) * 4, 0),
-            // Collect and fingerprint.
-            _ => {
-                let stats = if generational && step % 2 == 0 {
-                    m.gc_mut().collect_minor()
-                } else {
-                    m.collect()
-                };
-                fingerprints.push(fingerprint(&m, &stats, &ordinals));
-                resolves += stats.resolve_hits + stats.resolve_misses;
-                recent.retain(|&o| m.gc().is_live(Addr::new(o)));
-            }
-        }
-        if recent.len() > 64 {
-            recent.drain(..32);
-        }
-    }
-    let stats = m.collect();
-    fingerprints.push(fingerprint(&m, &stats, &ordinals));
-    resolves += stats.resolve_hits + stats.resolve_misses;
-    (fingerprints, resolves)
-}
-
-/// A trace with every live address blanked: which objects survive, not
-/// where they sit.
-fn placement_free(mut trace: Vec<CollectionFingerprint>) -> Vec<CollectionFingerprint> {
-    trace.iter_mut().for_each(|f| f.live_objects.clear());
-    trace
-}
-
-/// Compares every configuration's traces with the baseline's at each seed,
-/// and checks the resolve counters follow the cache: no lookups with it
-/// off, some with it on, serial or parallel.
-fn traces_are_configuration_invariant(seeds: &[u64], generational: bool) {
-    for &seed in seeds {
-        let (eager, _) = run_trace(seed, generational, Cfg::BASELINE);
-        assert!(eager.len() > 10, "trace collected often enough to compare");
-        let (lazy, _) = run_trace(seed, generational, Cfg::LAZY);
-        assert_eq!(
-            placement_free(eager.clone()),
-            placement_free(lazy.clone()),
-            "seed {seed} (generational={generational}): lazy sweeping diverged from eager"
-        );
-        for cfg in configs() {
-            let (run, resolves) = run_trace(seed, generational, cfg);
-            let baseline = if cfg.lazy_sweep { &lazy } else { &eager };
-            assert_eq!(
-                *baseline, run,
-                "seed {seed} (generational={generational}): {cfg:?} diverged from the baseline"
-            );
-            assert_eq!(
-                resolves > 0,
-                cfg.resolve_cache,
-                "seed {seed}: {cfg:?} reported {resolves} resolve lookups"
-            );
-        }
-    }
-}
+use equivalence::{
+    configs_on, table1_retention_is_invariant, traces_are_configuration_invariant, Axis, Cfg,
+    FULL_SEEDS, GENERATIONAL_SEEDS,
+};
+use sec_gc::core::{observer, GcEvent, GcObserver};
+use sec_gc::platforms::{BuildOptions, Profile};
+use sec_gc::workloads::GcBench;
 
 #[test]
 fn randomized_full_collections_are_configuration_invariant() {
-    traces_are_configuration_invariant(&[1, 3, 7, 17, 47, 91], false);
+    traces_are_configuration_invariant(&configs_on(Axis::Crossed), &FULL_SEEDS, false);
 }
 
 #[test]
 fn randomized_generational_collections_are_configuration_invariant() {
-    // Minor collections seed the parallel drain with the dirty-old scan,
-    // and a lazy minor snapshot must census pending survivors as tenured.
-    traces_are_configuration_invariant(&[5, 23, 29], true);
-}
-
-fn table1_run(profile: &Profile, blacklisting: bool, cfg: Cfg) -> ProgramTReport {
-    let shape = table1::shape_for(profile, 25);
-    let opts = BuildOptions {
-        seed: 11,
-        blacklisting,
-        ..BuildOptions::default()
-    };
-    let mut platform = profile.build_custom(opts, |gc| cfg.apply(gc));
-    let Platform { machine, hooks, .. } = &mut platform;
-    shape.run(machine, &mut |m| hooks.tick(m))
-}
-
-/// Every Table-1 observable, the retained fraction bit for bit.
-fn table1_key(r: &ProgramTReport) -> impl PartialEq + std::fmt::Debug {
-    let counts = (
-        r.lists,
-        r.retained,
-        r.collections,
-        r.blacklist_pages,
-        r.bytes_live,
-    );
-    let fates = (r.reclaimed.clone(), r.representatives.clone());
-    (counts, r.fraction_retained().to_bits(), fates)
+    traces_are_configuration_invariant(&configs_on(Axis::Crossed), &GENERATIONAL_SEEDS, true);
 }
 
 #[test]
 fn table1_retention_is_configuration_invariant() {
-    // The paper's headline metric, on its worst-case platform row.
-    let profile = Profile::sparc_static(false);
-    for blacklisting in [false, true] {
-        let base = table1_run(&profile, blacklisting, Cfg::BASELINE);
-        for cfg in configs() {
-            let run = table1_run(&profile, blacklisting, cfg);
-            assert_eq!(
-                table1_key(&base),
-                table1_key(&run),
-                "blacklisting={blacklisting}: {cfg:?} changed Table-1 retention"
-            );
-        }
-    }
+    table1_retention_is_invariant(&configs_on(Axis::Crossed));
 }
 
 /// Sums every collection's mark and reclamation counts over a run (the

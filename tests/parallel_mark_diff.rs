@@ -1,238 +1,40 @@
-//! Differential harness for the parallel mark phase: serial (`mark_threads
-//! = 1`) and parallel (2, 4, 8 workers) collections over identical
-//! randomized heaps must be *observationally identical* — same mark set,
-//! same mark-phase counters, same blacklist, same Table-1 retention.
-//!
-//! The parallel drain is designed to be scheduling-independent (atomic
-//! test-and-set mark bits mean each object is marked and scanned exactly
-//! once; blacklist candidates are merged in page order after the join), so
-//! every comparison here is exact equality, not a tolerance. On hosts
-//! where the collector clamps the worker count to the available cores the
-//! runs still cross-check the parallel seeding/merge plumbing against the
-//! plain serial path; multi-worker *racing* is additionally pinned down by
-//! the `par_mark` and `AtomicBitmap` unit tests, which spawn workers
-//! regardless of core count.
+//! Parallel marking is observationally identical to the serial marker:
+//! the thread entries of the one configuration list (forced 2, 4, 8
+//! racing workers, and 4 clamped to the host's cores; eager sweep, cache
+//! on), compared exactly with the baseline. See `equivalence/mod.rs`.
 
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
-use sec_gc::analysis::table1;
-use sec_gc::core::GcConfig;
-use sec_gc::heap::{HeapConfig, ObjectKind};
-use sec_gc::machine::{Machine, MachineConfig};
-use sec_gc::platforms::Profile;
-use sec_gc::vmspace::{Addr, Endian};
+mod equivalence;
 
-const ROOT_SLOTS: u32 = 12;
+use equivalence::{
+    configs_on, table1_retention_is_invariant, traces_are_configuration_invariant, Axis, Cfg,
+    FULL_SEEDS, GENERATIONAL_SEEDS,
+};
 
-/// Everything observable about one collection that must not depend on the
-/// mark-worker count. Durations and per-worker stats are deliberately
-/// excluded — they are the only fields allowed to differ.
-#[derive(Debug, PartialEq, Eq)]
-struct CollectionFingerprint {
-    root_words_scanned: u64,
-    heap_words_scanned: u64,
-    candidates_in_range: u64,
-    valid_pointers: u64,
-    false_refs_near_heap: u64,
-    newly_blacklisted: u32,
-    blacklist_pages: u32,
-    objects_marked: u64,
-    bytes_marked: u64,
-    /// Sorted base addresses of every object that survived the sweep —
-    /// the mark set, observed through its consequence.
-    live_objects: Vec<u32>,
-    /// Sorted blacklisted pages after the cycle.
-    blacklisted: Vec<u32>,
-}
-
-fn fingerprint(m: &Machine, stats: &sec_gc::core::CollectionStats) -> CollectionFingerprint {
-    let mut live_objects: Vec<u32> = m.gc().heap().live_objects().map(|o| o.base.raw()).collect();
-    live_objects.sort_unstable();
-    let mut blacklisted: Vec<u32> = m.gc().blacklist().pages().iter().map(|p| p.raw()).collect();
-    blacklisted.sort_unstable();
-    CollectionFingerprint {
-        root_words_scanned: stats.root_words_scanned,
-        heap_words_scanned: stats.heap_words_scanned,
-        candidates_in_range: stats.candidates_in_range,
-        valid_pointers: stats.valid_pointers,
-        false_refs_near_heap: stats.false_refs_near_heap,
-        newly_blacklisted: stats.newly_blacklisted,
-        blacklist_pages: stats.blacklist_pages,
-        objects_marked: stats.objects_marked,
-        bytes_marked: stats.bytes_marked,
-        live_objects,
-        blacklisted,
-    }
-}
-
-/// Runs a deterministic randomized workload and fingerprints every
-/// collection. Only `mark_threads` varies between compared runs.
-fn run_trace(
-    seed: u64,
-    mark_threads: u32,
-    generational: bool,
-    force: bool,
-) -> Vec<CollectionFingerprint> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut m = Machine::new(MachineConfig {
-        endian: Endian::Big,
-        gc: GcConfig {
-            heap: HeapConfig {
-                heap_base: Addr::new(0x10_0000),
-                max_heap_bytes: 16 << 20,
-                growth_pages: 16,
-                ..HeapConfig::default()
-            },
-            blacklisting: true,
-            generational,
-            mark_threads,
-            mark_threads_force: force,
-            min_bytes_between_gcs: u64::MAX,
-            free_space_divisor: 1 << 24,
-            ..GcConfig::default()
-        },
-        seed,
-        ..MachineConfig::default()
-    });
-    m.add_static_segment(Addr::new(0x2_0000), 4096);
-    let roots = m.alloc_static(ROOT_SLOTS);
-    // Static junk in the heap's vicinity: false references with root
-    // provenance, so blacklisting has deterministic work to do.
-    let junk = m.alloc_static(8);
-    for i in 0..8u32 {
-        m.store(junk + i * 4, 0x10_0000 + rng.random_range(0..2u32 << 20));
-    }
-
-    let mut fingerprints = Vec::new();
-    let mut recent: Vec<u32> = Vec::new();
-    for step in 0..600u32 {
-        match rng.random_range(0..100u32) {
-            // Fresh object, rooted somewhere; embedded-link words start 0.
-            0..=44 => {
-                let bytes = *[12u32, 16, 24, 48]
-                    .get(rng.random_range(0..4) as usize)
-                    .unwrap();
-                let obj = m
-                    .alloc(bytes, ObjectKind::Composite)
-                    .expect("heap has room");
-                m.store(roots + rng.random_range(0..ROOT_SLOTS) * 4, obj.raw());
-                recent.push(obj.raw());
-            }
-            // Link two recently allocated objects: cycles, queues, chains.
-            45..=69 => {
-                if recent.len() >= 2 {
-                    let from = recent[rng.random_range(0..recent.len())];
-                    let to = recent[rng.random_range(0..recent.len())];
-                    m.store(Addr::new(from) + rng.random_range(0..2u32) * 4, to);
-                }
-            }
-            // A heap-sourced false reference: a near-heap integer stored
-            // *inside* an object, seen during the drain (the provenance
-            // class the parallel workers buffer and merge).
-            70..=79 => {
-                if !recent.is_empty() {
-                    let host = recent[rng.random_range(0..recent.len())];
-                    let near = (0x10_0000 + rng.random_range(0..4u32 << 20)) | 1;
-                    m.store(Addr::new(host) + 4, near);
-                }
-            }
-            // Unroot a slot.
-            80..=89 => {
-                m.store(roots + rng.random_range(0..ROOT_SLOTS) * 4, 0);
-            }
-            // Collect and fingerprint.
-            _ => {
-                let stats = if generational && step % 2 == 0 {
-                    m.gc_mut().collect_minor()
-                } else {
-                    m.collect()
-                };
-                fingerprints.push(fingerprint(&m, &stats));
-                recent.retain(|&o| m.gc().is_live(Addr::new(o)));
-            }
-        }
-        if recent.len() > 64 {
-            recent.drain(..32);
-        }
-    }
-    let stats = m.collect();
-    fingerprints.push(fingerprint(&m, &stats));
-    fingerprints
+fn thread_configs(force: bool) -> Vec<Cfg> {
+    let mut cfgs = configs_on(Axis::Threads);
+    cfgs.retain(|c| c.force == force);
+    cfgs
 }
 
 #[test]
 fn randomized_full_collections_are_thread_count_invariant() {
-    for seed in [1u64, 17, 91] {
-        let serial = run_trace(seed, 1, false, false);
-        assert!(serial.len() > 10, "trace collected often enough to compare");
-        for threads in [2u32, 4, 8] {
-            let parallel = run_trace(seed, threads, false, false);
-            assert_eq!(
-                serial, parallel,
-                "seed {seed}: {threads}-thread marking diverged from serial"
-            );
-        }
-    }
-}
-
-#[test]
-fn randomized_generational_collections_are_thread_count_invariant() {
-    // Minor collections use the seeded dirty-old scan before the parallel
-    // drain; the fingerprints must still match the serial remembered-set
-    // path exactly.
-    for seed in [5u64, 29] {
-        let serial = run_trace(seed, 1, true, false);
-        for threads in [2u32, 4] {
-            let parallel = run_trace(seed, threads, true, false);
-            assert_eq!(
-                serial, parallel,
-                "seed {seed}: generational {threads}-thread marking diverged"
-            );
-        }
-    }
+    traces_are_configuration_invariant(&thread_configs(false), &FULL_SEEDS, false);
 }
 
 #[test]
 fn forced_worker_racing_is_thread_count_invariant() {
     // `mark_threads_force` skips the cores clamp, so every compared run
-    // really spawns 2/4/8 racing workers even on a single-core host — the
-    // strongest end-to-end check that scheduling cannot leak into any
-    // observable result.
-    for seed in [3u64, 47] {
-        let serial = run_trace(seed, 1, false, false);
-        for threads in [2u32, 4, 8] {
-            let parallel = run_trace(seed, threads, false, true);
-            assert_eq!(
-                serial, parallel,
-                "seed {seed}: forced {threads}-worker racing diverged from serial"
-            );
-        }
-    }
+    // really spawns 2/4/8 racing workers even on a single-core host.
+    traces_are_configuration_invariant(&thread_configs(true), &FULL_SEEDS, false);
+}
+
+#[test]
+fn randomized_generational_collections_are_thread_count_invariant() {
+    // Minor collections seed the parallel drain with the dirty-old scan.
+    traces_are_configuration_invariant(&configs_on(Axis::Threads), &GENERATIONAL_SEEDS, true);
 }
 
 #[test]
 fn table1_retention_is_thread_count_invariant() {
-    // The paper's headline metric reproduces bit-identically under
-    // parallel marking: same retained lists, same blacklist, same
-    // collection count.
-    let profile = Profile::sparc_static(false);
-    for blacklisting in [false, true] {
-        let serial = table1::run_once_with(&profile, 11, blacklisting, 25, Some(1));
-        for threads in [2u32, 4, 8] {
-            let parallel = table1::run_once_with(&profile, 11, blacklisting, 25, Some(threads));
-            assert_eq!(serial.lists, parallel.lists);
-            assert_eq!(
-                serial.retained, parallel.retained,
-                "retention (blacklisting={blacklisting}) must not depend on mark_threads"
-            );
-            assert_eq!(serial.reclaimed, parallel.reclaimed, "same per-list fate");
-            assert_eq!(serial.collections, parallel.collections);
-            assert_eq!(serial.blacklist_pages, parallel.blacklist_pages);
-            assert_eq!(serial.representatives, parallel.representatives);
-            assert!(
-                (serial.fraction_retained() - parallel.fraction_retained()).abs() == 0.0,
-                "fractions identical, not merely close"
-            );
-        }
-    }
+    table1_retention_is_invariant(&configs_on(Axis::Threads));
 }
