@@ -1,25 +1,19 @@
 //! GCBench — the classic stress benchmark distributed with the collector
 //! the paper describes — run under all three collector modes as a
-//! whole-system throughput check.
-//!
-//! `--mark-threads <n>` (1–16) and `--lazy-sweep` select the collector
-//! configuration every mode runs under. Their equivalence with the serial,
-//! eager default is checked by `tests/config_equivalence.rs`, and their
-//! cost by the repository benchmark (`perfbench`), not here.
+//! whole-system throughput check, with the collector's default (serial,
+//! eager) configuration.
 //!
 //! With `--json <path>`, also writes a machine-readable report combining
 //! the result rows with each mode's full collector metrics snapshot.
 
 use gc_analysis::TextTable;
-use gc_bench::{json_array, json_object, json_str, take_flag, take_mark_threads, JsonOut};
+use gc_bench::{json_array, json_object, json_str, JsonOut};
 use gc_platforms::{BuildOptions, Profile};
 use gc_workloads::GcBench;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let json_out = JsonOut::from_args(&mut args);
-    let mark_threads = take_mark_threads(&mut args);
-    let lazy_sweep = take_flag(&mut args, "--lazy-sweep");
     let classic = args.first().map(String::as_str) == Some("classic");
     let shape = if classic {
         GcBench::classic()
@@ -27,12 +21,11 @@ fn main() {
         GcBench::scaled()
     };
     println!(
-        "GCBench ({}): long-lived depth {}, short-lived depths {}..{} step 2{}\n",
+        "GCBench ({}): long-lived depth {}, short-lived depths {}..{} step 2\n",
         if classic { "classic" } else { "scaled" },
         shape.long_lived_depth,
         shape.min_depth,
         shape.max_depth,
-        if lazy_sweep { ", lazy sweeping" } else { "" },
     );
     let mut table = TextTable::new(vec![
         "Collector mode".into(),
@@ -44,20 +37,16 @@ fn main() {
     for mode in ["stop-world", "generational", "incremental"] {
         let mut profile = Profile::synthetic();
         profile.max_heap_bytes = 512 << 20;
-        let mut platform = profile.build_custom(BuildOptions::default(), |gc| {
-            gc.mark_threads = mark_threads;
-            gc.lazy_sweep = lazy_sweep;
-            match mode {
-                "generational" => {
-                    gc.generational = true;
-                    gc.full_gc_every = 6;
-                }
-                "incremental" => {
-                    gc.incremental = true;
-                    gc.incremental_budget = 2048;
-                }
-                _ => {}
+        let mut platform = profile.build_custom(BuildOptions::default(), |gc| match mode {
+            "generational" => {
+                gc.generational = true;
+                gc.full_gc_every = 6;
             }
+            "incremental" => {
+                gc.incremental = true;
+                gc.incremental_budget = 2048;
+            }
+            _ => {}
         });
         let r = shape.run(&mut platform.machine);
         table.row(vec![
@@ -92,8 +81,6 @@ fn main() {
             "variant",
             json_str(if classic { "classic" } else { "scaled" }),
         ),
-        ("mark_threads", mark_threads.to_string()),
-        ("lazy_sweep", lazy_sweep.to_string()),
         ("results", table.to_json()),
         ("modes", json_array(&mode_reports)),
     ]);

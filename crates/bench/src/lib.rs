@@ -101,23 +101,14 @@ pub fn take_option(args: &mut Vec<String>, flag: &str) -> Option<String> {
     value
 }
 
-/// Extracts a boolean `--<flag>` (no value) from `args`, removing every
-/// occurrence; returns whether it was present.
-pub fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != flag);
-    args.len() != before
-}
-
 /// Parses the `--mark-threads <n>` option shared by the benchmark
 /// binaries; absent means 1 (serial marking).
 ///
 /// # Panics
 ///
 /// Panics when the value is not an integer in
-/// `1..=`[`MAX_MARK_THREADS`](gc_core::MAX_MARK_THREADS): the collector
-/// would silently clamp a larger count, and the report would name workers
-/// that never ran.
+/// `1..=`[`MAX_MARK_THREADS`](gc_core::MAX_MARK_THREADS), the most workers
+/// the collector runs.
 pub fn take_mark_threads(args: &mut Vec<String>) -> u32 {
     match take_option(args, "--mark-threads") {
         None => 1,
@@ -215,17 +206,6 @@ mod tests {
             gc_core::MAX_MARK_THREADS
         );
         take_mark_threads(&mut args(&["--mark-threads", "100"]));
-    }
-
-    #[test]
-    fn take_flag_strips_every_occurrence() {
-        let mut a = args(&["--lazy-sweep", "classic", "--lazy-sweep"]);
-        assert!(take_flag(&mut a, "--lazy-sweep"));
-        assert_eq!(a, args(&["classic"]));
-
-        let mut a = args(&["classic"]);
-        assert!(!take_flag(&mut a, "--lazy-sweep"));
-        assert_eq!(a, args(&["classic"]));
     }
 
     #[test]

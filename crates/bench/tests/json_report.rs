@@ -71,13 +71,19 @@ fn gcbench_json_report_is_complete_and_consistent() {
         );
     }
 
-    // gcbench pins `mark_threads` and `lazy_sweep` itself; the resolve
-    // cache keeps its default whatever the environment says.
-    assert_eq!(
-        json.matches("\"resolve_cache\":true").count(),
-        snapshots,
-        "every snapshot's config keeps the default resolve cache"
-    );
+    // Every snapshot's config keeps the defaults whatever the environment
+    // says.
+    for key in [
+        "\"mark_threads\":1,",
+        "\"lazy_sweep\":false,",
+        "\"resolve_cache\":true",
+    ] {
+        assert_eq!(
+            json.matches(key).count(),
+            snapshots,
+            "{key} in every config"
+        );
+    }
     assert!(!json.contains("\"resolve_cache\":false"));
 
     // Phase-sum invariant: every last-collection record's phases fit in

@@ -276,8 +276,8 @@ impl Collector {
     /// of blocks swept.
     ///
     /// After a collection with [`GcConfig::lazy_sweep`], free-list
-    /// reconstruction and empty-block release trickle in from the
-    /// allocation slow path; whole-heap analyses (census walks, page
+    /// reconstruction and tenuring trickle in from the allocation slow
+    /// path; whole-heap analyses (census walks, page
     /// accounting, fragmentation measurements, `dump`) that must see the
     /// settled heap call this first. Always a no-op in eager mode or when
     /// no blocks are pending.
@@ -2348,6 +2348,17 @@ mod lazy_sweep_tests {
 
     const ROOT: Addr = Addr::new(0x1_0000);
 
+    /// Allocates 64 16-byte objects and roots the first: one block that
+    /// the next collection leaves pending (a block with no survivor is
+    /// released at the snapshot instead).
+    fn fill_one_survivor_block(gc: &mut Collector) {
+        let kept = gc.alloc(16, ObjectKind::Composite).unwrap();
+        gc.space_mut().write_u32(ROOT, kept.raw()).unwrap();
+        for _ in 1..64 {
+            gc.alloc(16, ObjectKind::Composite).unwrap();
+        }
+    }
+
     #[test]
     fn lazy_collection_is_observably_eager() {
         let mut gc = lazy_collector(|_| {});
@@ -2366,9 +2377,7 @@ mod lazy_sweep_tests {
     #[test]
     fn allocation_drains_pending_blocks() {
         let mut gc = lazy_collector(|_| {});
-        for _ in 0..64 {
-            gc.alloc(16, ObjectKind::Composite).unwrap();
-        }
+        fill_one_survivor_block(&mut gc);
         gc.collect();
         let pending = gc.heap().pending_sweep_blocks();
         assert!(pending > 0);
@@ -2381,9 +2390,7 @@ mod lazy_sweep_tests {
     #[test]
     fn finish_sweep_drains_everything_and_feeds_the_histogram() {
         let mut gc = lazy_collector(|_| {});
-        for _ in 0..64 {
-            gc.alloc(16, ObjectKind::Composite).unwrap();
-        }
+        fill_one_survivor_block(&mut gc);
         gc.collect();
         assert!(gc.heap().pending_sweep_blocks() > 0);
         let swept = gc.finish_sweep();
@@ -2401,9 +2408,7 @@ mod lazy_sweep_tests {
         let events = observer(RingBufferSink::new(256));
         let handle = events.clone();
         let mut gc = lazy_collector(move |c| c.observer = Some(handle));
-        for _ in 0..64 {
-            gc.alloc(16, ObjectKind::Composite).unwrap();
-        }
+        fill_one_survivor_block(&mut gc);
         gc.collect();
         while gc.heap().pending_sweep_blocks() > 0 {
             gc.alloc(16, ObjectKind::Composite).unwrap();

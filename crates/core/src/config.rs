@@ -187,13 +187,14 @@ pub struct GcConfig {
     /// serial (they are budgeted mutator pauses, not a throughput phase).
     pub mark_threads: u32,
     /// Defer sweeping to the allocation slow path: collections stop at a
-    /// per-block sweep *snapshot* (exact survivor accounting, no free-list
-    /// rebuilding), and [`Heap::alloc`](gc_heap::Heap::alloc) sweeps pending
+    /// per-block sweep *snapshot* (exact survivor accounting, empty blocks
+    /// released, no free-list rebuilding), and
+    /// [`Heap::alloc`](gc_heap::Heap::alloc) sweeps pending
     /// blocks of the requested size class — at most
     /// [`HeapConfig::sweep_budget`](gc_heap::HeapConfig::sweep_budget) blocks
     /// per slow path — until the request is satisfied. Reported collection
     /// pauses shrink by the deferred free-list work; liveness queries,
-    /// censuses and retention are unchanged. Use
+    /// censuses, retention and object addresses are unchanged. Use
     /// [`Collector::finish_sweep`](crate::Collector::finish_sweep) before
     /// whole-heap analyses that must see final page accounting. Off by
     /// default: the paper's collector sweeps eagerly inside the pause.

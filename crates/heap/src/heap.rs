@@ -714,9 +714,9 @@ impl Heap {
         }
         let (addr, id, slot) = match self.alloc_sized(space, bytes, kind, &mut *pred) {
             Err(HeapError::OutOfMemory { .. }) if self.pending_blocks > 0 => {
-                // Unswept blocks may still hold the slots or pages this
-                // request needs; complete the deferred sweep before
-                // reporting a real out-of-memory condition.
+                // Unswept blocks may still hold the slots this request
+                // needs; complete the deferred sweep before reporting a
+                // real out-of-memory condition.
                 self.finish_sweep();
                 self.alloc_sized(space, bytes, kind, pred)
             }
@@ -846,9 +846,9 @@ impl Heap {
             });
         };
         let npages = obj_bytes.div_ceil(PAGE_BYTES);
-        // Lazy-sweep slow path: sweeping pending large blocks releases the
-        // dead ones' pages, which may satisfy this request without growing
-        // the heap.
+        // Lazy-sweep slow path: realize a budget of pending large blocks
+        // (all live: dead ones went at the snapshot) so their deferred work
+        // does not pile up for the next cycle's start.
         self.sweep_pending_large();
         let mut denied = 0u32;
         let mut check = |p: PageIdx, first: bool| {
@@ -1280,10 +1280,15 @@ impl Heap {
     /// against the current mark bits (so all counts in the returned stats
     /// are exact and `bytes_live` is re-based, exactly as after an eager
     /// sweep) but defers the per-slot mutation work — free-list
-    /// reconstruction, bit clearing, tenuring, block release — to the
-    /// allocator's slow path, [`Heap::finish_sweep`], or the explicit-free
-    /// path. All object free lists are cleared: a pending block's slots
-    /// become allocatable only once that block is actually swept.
+    /// reconstruction, bit clearing, tenuring — to the allocator's slow
+    /// path, [`Heap::finish_sweep`], or the explicit-free path. All object
+    /// free lists are cleared: a pending block's slots become allocatable
+    /// only once that block is actually swept.
+    ///
+    /// Blocks with no survivor are released now, as the eager sweep and
+    /// bdwgc's reclaim start do: their pages return to the pool in the
+    /// pause, so a fresh block of any class lands where it would after an
+    /// eager sweep.
     ///
     /// The caller (the collector) must complete any previous snapshot
     /// *before* clearing mark bits for the next cycle — pending blocks'
@@ -1293,14 +1298,24 @@ impl Heap {
         self.pending_minor = minor;
         self.sweep_epoch += 1;
         let mut stats = SweepStats::default();
+        let mut released: Vec<BlockId> = Vec::new();
         for block in self.blocks.iter_mut().flatten() {
-            stats.tally(block.sweep_census(minor), block.obj_bytes());
+            let fates = block.sweep_census(minor);
+            stats.tally(fates, block.obj_bytes());
+            if fates.live == 0 {
+                released.push(block.id);
+                continue;
+            }
             block.pending = true;
             match small_index(block) {
                 Some(fli) => self.pending_small[fli].push_back(block.id),
                 None => self.pending_large.push_back(block.id),
             }
             self.pending_blocks += 1;
+        }
+        for id in released {
+            self.release_block(id);
+            stats.blocks_released += 1;
         }
         stats.blocks_deferred = self.pending_blocks;
         self.bytes_live = stats.bytes_live;
@@ -1322,7 +1337,8 @@ impl Heap {
 
     /// Realizes the deferred sweep of one pending block: frees condemned
     /// slots, tenures survivors, rebuilds its share of the free list, and
-    /// releases it entirely if nothing survived. Returns `false` for stale
+    /// releases it entirely if nothing survived (the snapshot already
+    /// released the blocks that were empty then). Returns `false` for stale
     /// queue entries (block already swept or released).
     fn sweep_pending_block(&mut self, id: BlockId) -> bool {
         let Some(block) = self.blocks.get_mut(id.0 as usize).and_then(Option::as_mut) else {
@@ -1353,8 +1369,7 @@ impl Heap {
         true
     }
 
-    /// Sweeps up to one budget's worth of pending large blocks, releasing
-    /// dead ones' pages back to the pool.
+    /// Sweeps up to one budget's worth of pending large blocks.
     fn sweep_pending_large(&mut self) {
         if self.pending_large.is_empty() {
             return;
@@ -2219,6 +2234,16 @@ mod lazy_sweep_tests {
                     mark(&mut heap, a);
                 }
             }
+            // What blocks with no survivor hold: the snapshot releases
+            // them outright, so the deferred sweep never frees it.
+            let mut doomed = (0u64, 0u64);
+            for b in heap.blocks() {
+                if (0..b.slots()).all(|s| !b.is_marked(s)) {
+                    let n = u64::from(b.live_objects());
+                    doomed.0 += n;
+                    doomed.1 += n * u64::from(b.obj_bytes());
+                }
+            }
             let stats = if lazy {
                 heap.sweep_lazy(false)
             } else {
@@ -2227,19 +2252,23 @@ mod lazy_sweep_tests {
             let swept = if lazy { heap.finish_sweep() } else { 0 };
             let mut live: Vec<u32> = heap.live_objects().map(|o| o.base.raw()).collect();
             live.sort_unstable();
-            (stats, swept, live, heap.stats(), heap.lazy_sweep_totals())
+            let totals = heap.lazy_sweep_totals();
+            (stats, swept, live, heap.stats(), totals, doomed)
         };
-        let (eager, _, eager_live, eager_heap, _) = trace(false);
-        let (lazy, swept, lazy_live, lazy_heap, totals) = trace(true);
+        let (eager, _, eager_live, eager_heap, _, _) = trace(false);
+        let (lazy, swept, lazy_live, lazy_heap, totals, doomed) = trace(true);
         assert_eq!(lazy.objects_freed, eager.objects_freed);
         assert_eq!(lazy.bytes_freed, eager.bytes_freed);
         assert_eq!(lazy.objects_live, eager.objects_live);
         assert_eq!(lazy.bytes_live, eager.bytes_live);
         assert_eq!(lazy.objects_promoted, eager.objects_promoted);
         assert_eq!(u32::try_from(totals.blocks_swept).unwrap(), swept);
-        assert_eq!(totals.blocks_released, u64::from(eager.blocks_released));
-        assert_eq!(totals.objects_freed, eager.objects_freed);
-        assert_eq!(totals.bytes_freed, eager.bytes_freed);
+        // Empty blocks go at the snapshot, the rest in the deferred sweep.
+        assert!(eager.blocks_released > 0, "the trace leaves empty blocks");
+        assert_eq!(lazy.blocks_released, eager.blocks_released);
+        assert_eq!(totals.blocks_released, 0);
+        assert_eq!(totals.objects_freed + doomed.0, eager.objects_freed);
+        assert_eq!(totals.bytes_freed + doomed.1, eager.bytes_freed);
         assert_eq!(lazy_live, eager_live);
         assert_eq!(lazy_heap, eager_heap);
     }
@@ -2274,29 +2303,31 @@ mod lazy_sweep_tests {
             heap_base: Addr::new(0x0003_0000),
             max_heap_bytes: 16 * u64::from(PAGE_BYTES),
             growth_pages: 4,
+            sweep_budget: 1,
             ..HeapConfig::default()
         });
-        // Fill 12 pages with small garbage (16-byte class, 256 slots/page).
-        for _ in 0..(12 * 256) {
-            heap.alloc(space, 16, ObjectKind::Composite, &mut accept_all)
-                .unwrap();
+        // Fill all 16 pages (16-byte class, 256 slots/page); only the last
+        // object is garbage, so only the last block has a free slot.
+        let addrs: Vec<Addr> = (0..(16 * 256))
+            .map(|_| {
+                heap.alloc(space, 16, ObjectKind::Composite, &mut accept_all)
+                    .unwrap()
+            })
+            .collect();
+        let (&last, survivors) = addrs.split_last().unwrap();
+        for &a in survivors {
+            mark(&mut heap, a);
         }
         heap.sweep_lazy(false);
-        assert_eq!(heap.pending_sweep_blocks(), 12);
-        // An 8-page object does not fit in the 4 never-used pages; the
-        // allocator must complete the deferred sweep instead of reporting
-        // out-of-memory.
-        let big = heap
-            .alloc(
-                space,
-                8 * PAGE_BYTES,
-                ObjectKind::Composite,
-                &mut accept_all,
-            )
-            .expect("finish_sweep releases the pages this request needs");
-        assert!(heap.object_containing(big).is_some());
+        assert_eq!(heap.pending_sweep_blocks(), 16);
+        // A budget of one sweeps only the first (full) block, and the heap
+        // has no page left; the allocator must complete the deferred sweep
+        // instead of reporting out-of-memory.
+        let fresh = heap
+            .alloc(space, 16, ObjectKind::Composite, &mut accept_all)
+            .expect("finish_sweep frees the slot this request needs");
+        assert_eq!(fresh, last);
         assert_eq!(heap.pending_sweep_blocks(), 0);
-        assert_eq!(heap.lazy_sweep_totals().blocks_released, 12);
     }
 
     #[test]

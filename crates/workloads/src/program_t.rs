@@ -120,8 +120,8 @@ impl ProgramT {
             }
         }
         let retained = reclaimed.iter().filter(|&&r| !r).count() as u32;
-        // Lazy sweeping defers empty-block release to allocation time; the
-        // report's page accounting needs the settled heap.
+        // Lazy sweeping defers free-list rebuilding to allocation time; the
+        // report's accounting reads the settled heap.
         m.gc_mut().finish_sweep();
         let heap = m.gc().heap().stats();
         ProgramTReport {

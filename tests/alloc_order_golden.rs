@@ -28,15 +28,18 @@ use std::fmt::Debug;
 const ROOT_SLOTS: u32 = 12;
 
 /// Recorded `run_trace` digests: `(seed, lazy_sweep, mark_threads, digest)`.
+/// The lazy rows equal the eager ones: a lazy snapshot releases empty
+/// blocks as the eager sweep does, so both sweeps place every object
+/// alike.
 const TRACE_GOLDEN: [(u64, bool, u32, u64); 8] = [
     (3, false, 1, 0xeb7d_604e_cb99_e178),
     (3, false, 4, 0xeb7d_604e_cb99_e178),
-    (3, true, 1, 0xf901_4d78_f5dd_c304),
-    (3, true, 4, 0xf901_4d78_f5dd_c304),
+    (3, true, 1, 0xeb7d_604e_cb99_e178),
+    (3, true, 4, 0xeb7d_604e_cb99_e178),
     (41, false, 1, 0x6822_c46a_e5a2_c920),
     (41, false, 4, 0x6822_c46a_e5a2_c920),
-    (41, true, 1, 0xb9c7_86dc_18a7_1aec),
-    (41, true, 4, 0xb9c7_86dc_18a7_1aec),
+    (41, true, 1, 0x6822_c46a_e5a2_c920),
+    (41, true, 4, 0x6822_c46a_e5a2_c920),
 ];
 
 /// Recorded digests of the Table-1 Program T report (SPARC statics,

@@ -5,16 +5,11 @@
 //! paper's serial, eager collector. [`configs`] is the one list of
 //! compared configurations; each test file takes the entries of one
 //! [`Axis`] and compares them, exactly, with the baseline on randomized
-//! typed+untyped traces (fingerprinted after every collection, live set
-//! read mid-pending) and on Table-1 retention. Only durations, per-worker
-//! splits and the resolve telemetry (zero exactly when the cache is off)
-//! may differ — and, between the two sweeps, where later objects land: a
-//! lazily swept block with no survivors is released only when its own
-//! size class next allocates, so another class's fresh block can go
-//! elsewhere. Across sweeps the traces therefore compare *which* objects
-//! survive (allocation ordinals); live addresses are compared between
-//! configurations that sweep alike. `GcConfig::default()` reads no
-//! environment, so each configuration is an explicit input.
+//! typed+untyped traces (fingerprinted after every collection, live
+//! addresses read mid-pending) and on Table-1 retention. Only durations,
+//! per-worker splits and the resolve telemetry (zero exactly when the
+//! cache is off) may differ. `GcConfig::default()` reads no environment,
+//! so each configuration is an explicit input.
 
 // Each test binary uses its own part of the harness.
 #![allow(dead_code)]
@@ -28,7 +23,6 @@ use sec_gc::machine::{Machine, MachineConfig};
 use sec_gc::platforms::{BuildOptions, Platform, Profile};
 use sec_gc::vmspace::{Addr, Endian};
 use sec_gc::workloads::ProgramTReport;
-use std::collections::HashMap;
 
 const ROOT_SLOTS: u32 = 12;
 
@@ -137,28 +131,17 @@ pub struct CollectionFingerprint {
     bytes_freed: u64,
     objects_live: u64,
     bytes_live: u64,
-    /// Sorted allocation ordinals of every surviving object: which
-    /// objects survived.
-    survivors: Vec<u32>,
     /// Sorted bases of every surviving object, observed before any
-    /// deferred sweep work is realized: where they are.
+    /// deferred sweep work is realized.
     live_objects: Vec<u32>,
     /// Sorted blacklisted pages after the cycle.
     blacklisted: Vec<u32>,
 }
 
-/// `ordinals` maps each object base the trace allocated to its allocation
-/// ordinal.
-fn fingerprint(
-    m: &Machine,
-    stats: &CollectionStats,
-    ordinals: &HashMap<u32, u32>,
-) -> CollectionFingerprint {
+fn fingerprint(m: &Machine, stats: &CollectionStats) -> CollectionFingerprint {
     let heap = m.gc().heap();
     let mut live_objects: Vec<u32> = heap.live_objects().map(|o| o.base.raw()).collect();
     live_objects.sort_unstable();
-    let mut survivors: Vec<u32> = live_objects.iter().map(|a| ordinals[a]).collect();
-    survivors.sort_unstable();
     // The heap's aggregate view agrees with the walk even mid-pending.
     let walk_bytes: u64 = heap.live_objects().map(|o| u64::from(o.bytes)).sum();
     assert_eq!(heap.stats().bytes_live, walk_bytes, "bytes_live vs walk");
@@ -178,7 +161,6 @@ fn fingerprint(
         bytes_freed: stats.sweep.bytes_freed,
         objects_live: stats.sweep.objects_live,
         bytes_live: stats.sweep.bytes_live,
-        survivors,
         live_objects,
         blacklisted,
     }
@@ -187,7 +169,7 @@ fn fingerprint(
 /// Runs a deterministic randomized typed+untyped workload and fingerprints
 /// every collection; also returns the summed resolve hit+miss counters.
 /// Only `cfg` varies between compared runs.
-pub fn run_trace(seed: u64, generational: bool, cfg: Cfg) -> (Vec<CollectionFingerprint>, u64) {
+fn run_trace(seed: u64, generational: bool, cfg: Cfg) -> (Vec<CollectionFingerprint>, u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut gc = GcConfig {
         heap: HeapConfig {
@@ -229,7 +211,6 @@ pub fn run_trace(seed: u64, generational: bool, cfg: Cfg) -> (Vec<CollectionFing
     let mut fingerprints = Vec::new();
     let mut resolves = 0u64;
     let mut recent: Vec<u32> = Vec::new();
-    let mut ordinals: HashMap<u32, u32> = HashMap::new();
     for step in 0..500u32 {
         match rng.random_range(0..100u32) {
             // A fresh untyped (0..30) or typed object, rooted somewhere.
@@ -244,7 +225,6 @@ pub fn run_trace(seed: u64, generational: bool, cfg: Cfg) -> (Vec<CollectionFing
                 .expect("heap has room");
                 m.store(roots + rng.random_range(0..ROOT_SLOTS) * 4, obj.raw());
                 recent.push(obj.raw());
-                ordinals.insert(obj.raw(), step);
             }
             // Link two recent objects through an arbitrary field. For a
             // typed target field this is an edge only if the field is a
@@ -274,7 +254,7 @@ pub fn run_trace(seed: u64, generational: bool, cfg: Cfg) -> (Vec<CollectionFing
                 } else {
                     m.collect()
                 };
-                fingerprints.push(fingerprint(&m, &stats, &ordinals));
+                fingerprints.push(fingerprint(&m, &stats));
                 resolves += stats.resolve_hits + stats.resolve_misses;
                 recent.retain(|&o| m.gc().is_live(Addr::new(o)));
             }
@@ -284,28 +264,23 @@ pub fn run_trace(seed: u64, generational: bool, cfg: Cfg) -> (Vec<CollectionFing
         }
     }
     let stats = m.collect();
-    fingerprints.push(fingerprint(&m, &stats, &ordinals));
+    fingerprints.push(fingerprint(&m, &stats));
     resolves += stats.resolve_hits + stats.resolve_misses;
     (fingerprints, resolves)
 }
 
-/// A trace with every live address blanked: which objects survive, not
-/// where they sit.
-fn placement_free(mut trace: Vec<CollectionFingerprint>) -> Vec<CollectionFingerprint> {
-    trace.iter_mut().for_each(|f| f.live_objects.clear());
-    trace
-}
-
-/// Compares each of `cfgs`' traces with the baseline's at each seed, and
-/// checks the resolve counters follow the cache: no lookups with it off,
-/// some with it on, serial or parallel. A lazy configuration is compared
-/// with the lazy baseline, which must match the eager one up to placement.
+/// Compares each of `cfgs`' traces, addresses included, with the
+/// baseline's at each seed, and checks the resolve counters follow the
+/// cache: no lookups with it off, some with it on, serial or parallel.
 pub fn traces_are_configuration_invariant(cfgs: &[Cfg], seeds: &[u64], generational: bool) {
     assert!(!cfgs.is_empty(), "no configuration to compare");
     for &seed in seeds {
-        let (eager, _) = run_trace(seed, generational, Cfg::BASELINE);
-        assert!(eager.len() > 10, "trace collected often enough to compare");
-        let mut lazy = None;
+        let (base, resolves) = run_trace(seed, generational, Cfg::BASELINE);
+        assert!(base.len() > 10, "trace collected often enough to compare");
+        assert!(
+            resolves > 0,
+            "seed {seed}: the baseline reports its lookups"
+        );
         for &cfg in cfgs {
             let (run, resolves) = run_trace(seed, generational, cfg);
             assert_eq!(
@@ -313,22 +288,8 @@ pub fn traces_are_configuration_invariant(cfgs: &[Cfg], seeds: &[u64], generatio
                 cfg.resolve_cache,
                 "seed {seed}: {cfg:?} reported {resolves} resolve lookups"
             );
-            let baseline = if cfg.lazy_sweep {
-                lazy.get_or_insert_with(|| {
-                    let (lazy, _) = run_trace(seed, generational, Cfg::LAZY);
-                    assert_eq!(
-                        placement_free(eager.clone()),
-                        placement_free(lazy.clone()),
-                        "seed {seed} (generational={generational}): lazy sweeping \
-                         diverged from eager"
-                    );
-                    lazy
-                })
-            } else {
-                &eager
-            };
             assert_eq!(
-                *baseline, run,
+                base, run,
                 "seed {seed} (generational={generational}): {cfg:?} diverged from the baseline"
             );
         }
