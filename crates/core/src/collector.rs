@@ -77,6 +77,10 @@ pub struct Collector {
     /// collection, so each [`CollectionStats`] can report the deltas
     /// accumulated since then.
     allocs_at_last_collect: (u64, u64),
+    /// The automatic-collection threshold in bytes and the mapped page
+    /// count it was computed for, so the allocation path divides only
+    /// when the heap has grown or shrunk.
+    trigger: (u32, u64),
 }
 
 /// How a cycle began: what [`Collector::begin_cycle`] hands the shared
@@ -133,6 +137,7 @@ impl Collector {
             weak_links: HashMap::new(),
             lazy_reported: LazySweepStats::default(),
             allocs_at_last_collect: (0, 0),
+            trigger: (u32::MAX, 0),
             space,
             config,
         }
@@ -159,6 +164,7 @@ impl Collector {
     ///
     /// Returns [`GcError::Heap`] when the heap limit is exhausted even
     /// after a forced collection, or for zero-sized requests.
+    #[inline]
     pub fn alloc(&mut self, bytes: u32, kind: ObjectKind) -> Result<Addr, GcError> {
         self.alloc_impl(bytes, kind, None)
     }
@@ -315,6 +321,7 @@ impl Collector {
     /// path; embedders writing heap memory directly must do the same, or a
     /// minor collection may miss an old→young pointer and an incremental
     /// cycle a pointer stored into an already-scanned object.
+    #[inline]
     pub fn record_write(&mut self, addr: Addr) {
         if self.config.generational || self.inc.is_some() {
             self.heap.note_write(addr);
@@ -413,11 +420,15 @@ impl Collector {
             .alloc_with(&mut self.space, bytes, kind, desc, &mut pred)
     }
 
-    fn should_collect(&self) -> bool {
-        let mapped = u64::from(self.heap.mapped_pages()) * u64::from(PAGE_BYTES);
-        let threshold = (mapped / u64::from(self.config.free_space_divisor))
-            .max(self.config.min_bytes_between_gcs);
-        self.heap.bytes_since_collect() >= threshold
+    fn should_collect(&mut self) -> bool {
+        let pages = self.heap.mapped_pages();
+        if pages != self.trigger.0 {
+            let mapped = u64::from(pages) * u64::from(PAGE_BYTES);
+            let threshold = (mapped / u64::from(self.config.free_space_divisor))
+                .max(self.config.min_bytes_between_gcs);
+            self.trigger = (pages, threshold);
+        }
+        self.heap.bytes_since_collect() >= self.trigger.1
     }
 
     /// Fast/slow allocation-path counts accumulated since the previous

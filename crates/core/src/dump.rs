@@ -37,11 +37,10 @@ pub(crate) fn dump(gc: &Collector) -> String {
         let totals = heap.lazy_sweep_totals();
         let _ = writeln!(
             out,
-            "lazy sweep: {} block(s) pending, epoch {}; realized {} block(s) swept, {} released, {} bytes freed",
+            "lazy sweep: {} block(s) pending, epoch {}; realized {} block(s) swept, {} bytes freed",
             heap.pending_sweep_blocks(),
             heap.sweep_epoch(),
             totals.blocks_swept,
-            totals.blocks_released,
             totals.bytes_freed,
         );
     }

@@ -58,7 +58,11 @@ use std::time::Duration;
 ///
 /// Version 7 added `heap.page_table_bytes`: the heap's per-page metadata,
 /// which grows with the heap's span rather than the address space's.
-pub const METRICS_SCHEMA_VERSION: u32 = 7;
+///
+/// Version 8 added `heap.pop_words_scanned`, the allocation bitmap words
+/// read by free-list pops, and removed `lazy_sweep.blocks_released`,
+/// which was always 0 once lazy snapshots released every empty block.
+pub const METRICS_SCHEMA_VERSION: u32 = 8;
 
 // ---------------------------------------------------------------------------
 // Phase timings
@@ -821,7 +825,7 @@ pub(crate) fn metrics_json(gc: &Collector) -> String {
         })
         .collect();
     let heap = format!(
-        "{{\"mapped_pages\":{},\"free_pages\":{},\"quarantined_pages\":{},\"largest_free_run\":{},\"blocks\":{},\"bytes_live\":{},\"bytes_allocated_total\":{},\"bytes_since_collect\":{},\"page_table_bytes\":{},\"size_classes\":[{}]}}",
+        "{{\"mapped_pages\":{},\"free_pages\":{},\"quarantined_pages\":{},\"largest_free_run\":{},\"blocks\":{},\"bytes_live\":{},\"bytes_allocated_total\":{},\"bytes_since_collect\":{},\"page_table_bytes\":{},\"pop_words_scanned\":{},\"size_classes\":[{}]}}",
         heap_stats.mapped_pages,
         heap_stats.free_pages,
         gc.heap().quarantined_pages(),
@@ -831,6 +835,7 @@ pub(crate) fn metrics_json(gc: &Collector) -> String {
         heap_stats.bytes_allocated_total,
         heap_stats.bytes_since_collect,
         gc.heap().page_table_bytes(),
+        gc.heap().pop_words_scanned(),
         census.join(","),
     );
 
@@ -860,12 +865,11 @@ pub(crate) fn metrics_json(gc: &Collector) -> String {
     // their latencies are sampled here rather than in `pause_ns`).
     let lazy_totals = gc.heap().lazy_sweep_totals();
     let lazy_sweep = format!(
-        "{{\"enabled\":{},\"pending_blocks\":{},\"sweep_epoch\":{},\"blocks_swept\":{},\"blocks_released\":{},\"objects_freed\":{},\"bytes_freed\":{},\"sweep_time_ns\":{},\"batch_ns\":{}}}",
+        "{{\"enabled\":{},\"pending_blocks\":{},\"sweep_epoch\":{},\"blocks_swept\":{},\"objects_freed\":{},\"bytes_freed\":{},\"sweep_time_ns\":{},\"batch_ns\":{}}}",
         config.lazy_sweep,
         gc.heap().pending_sweep_blocks(),
         gc.heap().sweep_epoch(),
         lazy_totals.blocks_swept,
-        lazy_totals.blocks_released,
         lazy_totals.objects_freed,
         lazy_totals.bytes_freed,
         lazy_totals.sweep_time.as_nanos(),

@@ -100,9 +100,10 @@ pub struct Block {
     /// Never-used watermark: slots at indices `>= bump` have never been
     /// allocated since the block was created.
     pub(crate) bump: u32,
-    /// The block was carved from pages never written since the address
-    /// space mapped (and zeroed) them, so never-used slots are still
-    /// all-zero and allocation may skip the explicit fill.
+    /// Never-used slots are all-zero, so allocation may skip the explicit
+    /// fill: the block's pages were never written since the address space
+    /// mapped (and zeroed) them, or, for a small block, the heap cleared
+    /// its page when it carved the block.
     pub(crate) zeroed: bool,
     /// Per-slot descriptor index of typed objects ([`NO_DESCRIPTOR`] for
     /// untyped slots), created when the block first holds a typed object.

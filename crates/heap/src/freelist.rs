@@ -41,15 +41,56 @@ pub(crate) enum FreeList {
     /// first zero bit of the lowest block's allocation bitmap: the lowest
     /// free slot of the pair, since blocks do not overlap. Keeping the list
     /// sorted costs one insert per block a sweep or free touches.
-    Blocks(BTreeMap<Addr, BlockId>),
+    Blocks {
+        set: BTreeMap<Addr, BlockId>,
+        /// Where the next pop starts, once one has found it: every slot
+        /// before it is allocated. `add` and `remove` clear it, so a slot
+        /// freed below it or a lower block is never skipped.
+        cursor: Option<Cursor>,
+    },
     /// Free slot addresses, the most recently freed on top.
     Lifo(Vec<Addr>),
+}
+
+/// The lowest listed block and the index of its first `allocated` word
+/// with a zero bit, so a pop reads one word instead of rescanning the
+/// bitmap from word 0 (Nofl-style allocation from mark-metadata holes, a
+/// word at a time).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Cursor {
+    block: BlockId,
+    word: usize,
+}
+
+/// The free slots of `block`'s `allocated` word `i` as set bits, without
+/// the bits past the block's last slot.
+#[inline]
+fn free_bits(block: &Block, i: usize) -> u64 {
+    let valid = match block.slots() - i as u32 * 64 {
+        n if n >= 64 => u64::MAX,
+        n => (1 << n) - 1,
+    };
+    !block.allocated.words()[i] & valid
+}
+
+/// The first `allocated` word of `block` from word `from` on that has a
+/// free slot, with its [`free_bits`]; adds the words read to `words_read`.
+#[inline]
+fn next_free_word(block: &Block, from: usize, words_read: &mut u64) -> Option<(usize, u64)> {
+    (from..block.allocated.words().len()).find_map(|i| {
+        *words_read += 1;
+        let free = free_bits(block, i);
+        (free != 0).then_some((i, free))
+    })
 }
 
 impl FreeList {
     pub(crate) fn new(policy: FreeListPolicy) -> Self {
         match policy {
-            FreeListPolicy::AddressOrdered => FreeList::Blocks(BTreeMap::new()),
+            FreeListPolicy::AddressOrdered => FreeList::Blocks {
+                set: BTreeMap::new(),
+                cursor: None,
+            },
             FreeListPolicy::Lifo => FreeList::Lifo(Vec::new()),
         }
     }
@@ -58,10 +99,12 @@ impl FreeList {
     /// block's creation, or only `freed` after an explicit free.
     pub(crate) fn add(&mut self, block: &Block, freed: Option<u32>) {
         match self {
-            FreeList::Blocks(set) if block.live_objects() < block.slots() => {
-                set.insert(block.base, block.id);
+            FreeList::Blocks { set, cursor } => {
+                *cursor = None;
+                if block.live_objects() < block.slots() {
+                    set.insert(block.base, block.id);
+                }
             }
-            FreeList::Blocks(_) => {}
             FreeList::Lifo(stack) => match freed {
                 Some(slot) => stack.push(block.slot_base(slot)),
                 None => stack.extend(block.allocated.iter_zeros().map(|s| block.slot_base(s))),
@@ -72,7 +115,8 @@ impl FreeList {
     /// Withdraws every slot of `block`, which is being released.
     pub(crate) fn remove(&mut self, block: &Block) {
         match self {
-            FreeList::Blocks(set) => {
+            FreeList::Blocks { set, cursor } => {
+                *cursor = None;
                 set.remove(&block.base);
             }
             FreeList::Lifo(stack) => stack.retain(|&a| block.slot_containing(a).is_none()),
@@ -80,23 +124,46 @@ impl FreeList {
     }
 
     /// Takes the next free slot, as `(block, slot)`, for the caller to
-    /// allocate. `blocks` is the block table and `block_at(addr)` the
-    /// block owning `addr`'s page.
+    /// allocate before the next pop. `blocks` is the block table and
+    /// `block_at(addr)` the block owning `addr`'s page. Adds the number of
+    /// `allocated` words read to `words_read`: one per pop, plus one per
+    /// word the pop fills.
+    #[inline]
     pub(crate) fn pop(
         &mut self,
         blocks: &[Option<Block>],
         block_at: impl FnOnce(Addr) -> Option<BlockId>,
+        words_read: &mut u64,
     ) -> Option<(BlockId, u32)> {
         let live = |id: BlockId| blocks[id.0 as usize].as_ref().expect("block is live");
         match self {
-            FreeList::Blocks(set) => {
-                let (_, &id) = set.first_key_value()?;
-                let mut free = live(id).allocated.iter_zeros();
-                let slot = free.next().expect("listed block has a free slot");
-                if free.next().is_none() {
-                    set.pop_first();
-                }
-                Some((id, slot))
+            FreeList::Blocks { set, cursor } => {
+                let Cursor { block: id, word } = match *cursor {
+                    Some(c) => c,
+                    None => Cursor {
+                        block: *set.first_key_value()?.1,
+                        word: 0,
+                    },
+                };
+                let block = live(id);
+                let (word, free) =
+                    next_free_word(block, word, words_read).expect("listed block has a free slot");
+                // The cursor stays while this word has another free slot,
+                // else moves to the next word with one; a block with none
+                // left leaves the list.
+                let next = if free & (free - 1) != 0 {
+                    Some(word)
+                } else {
+                    next_free_word(block, word + 1, words_read).map(|(w, _)| w)
+                };
+                *cursor = match next {
+                    Some(word) => Some(Cursor { block: id, word }),
+                    None => {
+                        set.pop_first();
+                        None
+                    }
+                };
+                Some((id, word as u32 * 64 + free.trailing_zeros()))
             }
             FreeList::Lifo(stack) => {
                 let addr = stack.pop()?;
@@ -113,7 +180,11 @@ mod tests {
     use crate::{ObjectKind, SizeClass};
 
     fn block(id: u32, base: u32) -> Block {
-        let class = SizeClass::for_bytes(1024).unwrap();
+        block_of(1024, id, base)
+    }
+
+    fn block_of(bytes: u32, id: u32, base: u32) -> Block {
+        let class = SizeClass::for_bytes(bytes).unwrap();
         Block::new_small(BlockId(id), Addr::new(base), class, ObjectKind::Composite)
     }
 
@@ -134,9 +205,22 @@ mod tests {
 
     fn is_empty(fl: &FreeList) -> bool {
         match fl {
-            FreeList::Blocks(set) => set.is_empty(),
+            FreeList::Blocks { set, .. } => set.is_empty(),
             FreeList::Lifo(stack) => stack.is_empty(),
         }
+    }
+
+    /// Pops from an address-ordered list and allocates the slot in its
+    /// block, as the heap does; returns `(block id, slot)`.
+    fn take(fl: &mut FreeList, blocks: &mut [&mut Block]) -> Option<(u32, u32)> {
+        let t = table(&blocks.iter().map(|b| &**b).collect::<Vec<_>>());
+        let (id, slot) = fl.pop(&t, |_| None, &mut 0)?;
+        let b = blocks
+            .iter_mut()
+            .find(|b| b.id == id)
+            .expect("popped block");
+        b.allocated.set(slot);
+        Some((id.0, slot))
     }
 
     fn page_owner(table: &[Option<Block>]) -> impl Fn(Addr) -> Option<BlockId> + '_ {
@@ -158,7 +242,7 @@ mod tests {
         let mut taken = Vec::new();
         loop {
             let t = table(&[&lo, &hi]);
-            let Some((id, slot)) = fl.pop(&t, |_| None) else {
+            let Some((id, slot)) = fl.pop(&t, |_| None, &mut 0) else {
                 break;
             };
             let b = if id == lo.id { &mut lo } else { &mut hi };
@@ -178,7 +262,7 @@ mod tests {
         fl.add(&b, Some(1));
         fl.add(&b, Some(3));
         fl.add(&b, None);
-        let FreeList::Blocks(set) = &fl else {
+        let FreeList::Blocks { set, .. } = &fl else {
             unreachable!()
         };
         assert_eq!(set.len(), 1);
@@ -201,9 +285,9 @@ mod tests {
         fl.add(&b, Some(1));
         fl.add(&b, Some(3));
         let t = table(&[&b]);
-        assert_eq!(fl.pop(&t, page_owner(&t)), Some((b.id, 3)));
-        assert_eq!(fl.pop(&t, page_owner(&t)), Some((b.id, 1)));
-        assert_eq!(fl.pop(&t, page_owner(&t)), None);
+        assert_eq!(fl.pop(&t, page_owner(&t), &mut 0), Some((b.id, 3)));
+        assert_eq!(fl.pop(&t, page_owner(&t), &mut 0), Some((b.id, 1)));
+        assert_eq!(fl.pop(&t, page_owner(&t), &mut 0), None);
     }
 
     #[test]
@@ -217,9 +301,62 @@ mod tests {
         fl.remove(&a);
         let t = table(&[&a, &b]);
         let mut rest = Vec::new();
-        while let Some((id, slot)) = fl.pop(&t, page_owner(&t)) {
+        while let Some((id, slot)) = fl.pop(&t, page_owner(&t), &mut 0) {
             rest.push((id.0, slot));
         }
         assert_eq!(rest, [(1, 3), (1, 2), (1, 1)]);
+    }
+
+    #[test]
+    fn a_slot_freed_below_the_cursor_comes_next() {
+        // 4-byte class: 1024 slots in 16 words.
+        let mut b = block_of(4, 0, 0x1000);
+        let mut fl = FreeList::new(FreeListPolicy::AddressOrdered);
+        fl.add(&b, None);
+        for slot in 0..200 {
+            assert_eq!(take(&mut fl, &mut [&mut b]), Some((0, slot)));
+        }
+        // The cursor now sits in word 3; free a slot in word 0.
+        b.allocated.clear(5);
+        fl.add(&b, Some(5));
+        assert_eq!(take(&mut fl, &mut [&mut b]), Some((0, 5)));
+        assert_eq!(take(&mut fl, &mut [&mut b]), Some((0, 200)));
+    }
+
+    #[test]
+    fn a_lower_block_added_by_a_sweep_comes_first() {
+        let (mut lo, mut hi) = (block(1, 0x2000), block(0, 0x5000));
+        let mut fl = FreeList::new(FreeListPolicy::AddressOrdered);
+        fl.add(&hi, None);
+        assert_eq!(take(&mut fl, &mut [&mut lo, &mut hi]), Some((0, 0)));
+        // A sweep lists a lower block while the cursor points into `hi`.
+        fl.add(&lo, None);
+        assert_eq!(take(&mut fl, &mut [&mut lo, &mut hi]), Some((1, 0)));
+    }
+
+    #[test]
+    fn releasing_the_cursor_block_moves_the_pop_to_the_next_block() {
+        let (mut lo, mut hi) = (block(1, 0x2000), block(0, 0x5000));
+        let mut fl = FreeList::new(FreeListPolicy::AddressOrdered);
+        fl.add(&hi, None);
+        fl.add(&lo, None);
+        assert_eq!(take(&mut fl, &mut [&mut lo, &mut hi]), Some((1, 0)));
+        fl.remove(&lo);
+        assert_eq!(take(&mut fl, &mut [&mut lo, &mut hi]), Some((0, 0)));
+    }
+
+    #[test]
+    fn the_last_free_slot_in_a_partial_word_removes_the_block() {
+        // 12-byte class: 341 slots, so the last word holds 21 of them.
+        let mut b = block_of(12, 0, 0x1000);
+        assert_eq!(b.slots(), 341);
+        for slot in 0..340 {
+            b.allocated.set(slot);
+        }
+        let mut fl = FreeList::new(FreeListPolicy::AddressOrdered);
+        fl.add(&b, None);
+        assert_eq!(take(&mut fl, &mut [&mut b]), Some((0, 340)));
+        assert!(is_empty(&fl), "the full block leaves the set");
+        assert_eq!(take(&mut fl, &mut [&mut b]), None);
     }
 }

@@ -325,8 +325,6 @@ pub struct SweepStats {
 pub struct LazySweepStats {
     /// Pending blocks swept outside a collection pause.
     pub blocks_swept: u64,
-    /// Of those, blocks released back to the page pool.
-    pub blocks_released: u64,
     /// Objects reclaimed by deferred sweeps.
     pub objects_freed: u64,
     /// Bytes reclaimed by deferred sweeps.
@@ -493,6 +491,9 @@ pub struct Heap {
     sweep_epoch: u64,
     /// Realized deferred-sweep work, cumulatively.
     lazy_totals: LazySweepStats,
+    /// `allocated` bitmap words read by address-ordered free-list pops,
+    /// cumulatively.
+    pop_words_scanned: u64,
 }
 
 fn fl_index(class: SizeClass, kind: ObjectKind) -> usize {
@@ -565,6 +566,7 @@ impl Heap {
             pending_minor: false,
             sweep_epoch: 0,
             lazy_totals: LazySweepStats::default(),
+            pop_words_scanned: 0,
         }
     }
 
@@ -740,9 +742,14 @@ impl Heap {
     }
 
     /// Takes the next free slot of `fli` per the free-list policy.
+    #[inline]
     fn pop_small_slot(&mut self, fli: usize) -> Option<(BlockId, u32)> {
         let page_table = &self.page_table;
-        self.free_lists[fli].pop(&self.blocks, |addr| page_table.get(addr.page()))
+        self.free_lists[fli].pop(
+            &self.blocks,
+            |addr| page_table.get(addr.page()),
+            &mut self.pop_words_scanned,
+        )
     }
 
     /// Lazy sweeping's slow path for an empty free list: sweeps pending
@@ -819,9 +826,14 @@ impl Heap {
                 pages_denied: denied,
             })?
         };
+        // A recycled page is cleared whole, once, so that no slot of the
+        // new block pays for its own fill.
+        if !self.page_table.all_clean(page, 1) {
+            space.fill(page.base(), PAGE_BYTES, 0)?;
+        }
         let id = self.new_block_id();
         let mut block = Block::new_small(id, page.base(), class, kind);
-        block.zeroed = self.page_table.all_clean(page, 1);
+        block.zeroed = true;
         self.page_table.set(page, id);
         self.install_block(block);
         let allocated = self.finish_alloc(space, id, 0)?;
@@ -893,8 +905,8 @@ impl Heap {
     }
 
     /// Books one allocated slot. Slots at or above the block's never-used
-    /// watermark on pages never written since they were mapped skip the
-    /// zero fill: the mapping already zeroed them.
+    /// watermark on zeroed blocks skip the zero fill: the mapping, or the
+    /// page clear when a small block was carved, already zeroed them.
     fn finish_alloc(
         &mut self,
         space: &mut AddressSpace,
@@ -1336,10 +1348,10 @@ impl Heap {
     }
 
     /// Realizes the deferred sweep of one pending block: frees condemned
-    /// slots, tenures survivors, rebuilds its share of the free list, and
-    /// releases it entirely if nothing survived (the snapshot already
-    /// released the blocks that were empty then). Returns `false` for stale
-    /// queue entries (block already swept or released).
+    /// slots, tenures survivors and rebuilds its share of the free list.
+    /// The block keeps a survivor: the snapshot released every block with
+    /// none, and a pending block allocates nothing. Returns `false` for
+    /// stale queue entries (block already swept or released).
     fn sweep_pending_block(&mut self, id: BlockId) -> bool {
         let Some(block) = self.blocks.get_mut(id.0 as usize).and_then(Option::as_mut) else {
             return false;
@@ -1349,8 +1361,9 @@ impl Heap {
         }
         block.pending = false;
         let fates = block.sweep_apply(self.pending_minor);
+        debug_assert!(fates.live > 0, "the snapshot released empty blocks");
         let ob = u64::from(block.obj_bytes());
-        if let Some(fli) = small_index(block).filter(|_| fates.live > 0) {
+        if let Some(fli) = small_index(block) {
             self.free_lists[fli].add(block, None);
         }
         // `bytes_live` was already re-based by the snapshot; only the
@@ -1362,10 +1375,6 @@ impl Heap {
         totals.bytes_freed += u64::from(fates.freed) * ob;
         totals.objects_promoted += u64::from(fates.promoted);
         totals.bytes_promoted += u64::from(fates.promoted) * ob;
-        if fates.live == 0 {
-            self.release_block(id);
-            self.lazy_totals.blocks_released += 1;
-        }
         true
     }
 
@@ -1436,6 +1445,13 @@ impl Heap {
     /// Cumulative realized deferred-sweep work; see [`LazySweepStats`].
     pub fn lazy_sweep_totals(&self) -> LazySweepStats {
         self.lazy_totals
+    }
+
+    /// `allocated` bitmap words read by address-ordered free-list pops
+    /// since the heap was created: one per pop, plus one per bitmap word
+    /// a pop leaves full. LIFO pops read none.
+    pub fn pop_words_scanned(&self) -> u64 {
+        self.pop_words_scanned
     }
 
     /// The live objects whose block owns `page` (the card-scanning helper
@@ -1792,6 +1808,59 @@ mod tests {
             .unwrap();
         assert_eq!(b, a, "address-ordered free list reuses the slot");
         assert_eq!(space.read_u32(b).unwrap(), 0, "allocation zeroes");
+    }
+
+    #[test]
+    fn a_recycled_page_is_cleared_once_and_a_clean_page_never() {
+        let (mut space, mut heap) = setup();
+        let alloc = |heap: &mut Heap, space: &mut AddressSpace, bytes| {
+            heap.alloc(space, bytes, ObjectKind::Composite, &mut accept_all)
+                .unwrap()
+        };
+        // A 16-byte block, scribbled over and then swept away whole.
+        let page = alloc(&mut heap, &mut space, 16).page();
+        space.fill(page.base(), PAGE_BYTES, 0xa5).unwrap();
+        heap.clear_marks();
+        assert_eq!(heap.sweep(false).blocks_released, 1);
+        // A 12-byte block on the dirty page: its first object clears the
+        // whole page, and every slot is handed out all-zero.
+        let first = alloc(&mut heap, &mut space, 12);
+        assert_eq!(first.page(), page);
+        let whole = space.bytes_at(page.base(), PAGE_BYTES).unwrap();
+        assert!(whole.iter().all(|&b| b == 0), "the page is cleared at once");
+        space.fill(first, 12, 0x5a).unwrap();
+        for _ in 1..SizeClass::for_bytes(12).unwrap().objects_per_page() {
+            let obj = alloc(&mut heap, &mut space, 12);
+            assert_eq!(obj.page(), page);
+            let bytes = space.bytes_at(obj, 12).unwrap();
+            assert!(bytes.iter().all(|&b| b == 0), "object at {obj} is zero");
+            space.fill(obj, 12, 0x5a).unwrap();
+        }
+        // The next page is clean: the heap writes nothing on it. (Only
+        // this test writes a free page behind the heap's back, to see.)
+        let next = PageIdx::new(page.raw() + 1);
+        let last_word = next.base() + (PAGE_BYTES - 4);
+        space.write_u32(last_word, 0xfeed).unwrap();
+        assert_eq!(alloc(&mut heap, &mut space, 4).page(), next);
+        assert_eq!(space.read_u32(last_word).unwrap(), 0xfeed);
+    }
+
+    #[test]
+    fn filling_a_fresh_block_reads_about_one_bitmap_word_per_pop() {
+        let (mut space, mut heap) = setup();
+        // The 4-byte class: 1024 slots in 16 bitmap words. Slot 0 comes
+        // with the new block; the other 1023 are popped.
+        let (slots, words) = (1024, 16);
+        let mut pages = (0..slots).map(|_| {
+            heap.alloc(&mut space, 4, ObjectKind::Atomic, &mut accept_all)
+                .unwrap()
+                .page()
+        });
+        let page = pages.next().unwrap();
+        assert!(pages.all(|p| p == page), "one block holds every object");
+        let read = heap.pop_words_scanned();
+        assert!(read <= slots + words, "{read} words for {slots} slots");
+        assert!(read * 10 <= (slots - 1) * 11, "{read} words for 1023 pops");
     }
 
     #[test]
@@ -2266,7 +2335,6 @@ mod lazy_sweep_tests {
         // Empty blocks go at the snapshot, the rest in the deferred sweep.
         assert!(eager.blocks_released > 0, "the trace leaves empty blocks");
         assert_eq!(lazy.blocks_released, eager.blocks_released);
-        assert_eq!(totals.blocks_released, 0);
         assert_eq!(totals.objects_freed + doomed.0, eager.objects_freed);
         assert_eq!(totals.bytes_freed + doomed.1, eager.bytes_freed);
         assert_eq!(lazy_live, eager_live);

@@ -36,6 +36,21 @@ const CLASS_SLOTS: [u32; CLASS_GRANULES.len()] = {
 /// objects.
 pub const MAX_SMALL_BYTES: u32 = CLASS_GRANULES[CLASS_GRANULES.len() - 1] * GRANULE_BYTES;
 
+/// The smallest class holding a request of `g` granules, at index `g`
+/// (entry 0 unused), so the allocation path finds a class with one read.
+const CLASS_OF_GRANULES: [u8; (MAX_SMALL_BYTES / GRANULE_BYTES) as usize + 1] = {
+    let mut table = [0; (MAX_SMALL_BYTES / GRANULE_BYTES) as usize + 1];
+    let (mut g, mut class) = (1, 0);
+    while g < table.len() {
+        while CLASS_GRANULES[class] < g as u32 {
+            class += 1;
+        }
+        table[g] = class as u8;
+        g += 1;
+    }
+    table
+};
+
 /// A small-object size class.
 ///
 /// # Example
@@ -52,13 +67,13 @@ pub struct SizeClass(u8);
 impl SizeClass {
     /// Returns the smallest class that fits `bytes`, or `None` if the
     /// request needs a large object (or is zero).
+    #[inline]
     pub fn for_bytes(bytes: u32) -> Option<SizeClass> {
         if bytes == 0 || bytes > MAX_SMALL_BYTES {
             return None;
         }
         let granules = bytes.div_ceil(GRANULE_BYTES);
-        let idx = CLASS_GRANULES.partition_point(|&g| g < granules);
-        Some(SizeClass(idx as u8))
+        Some(SizeClass(CLASS_OF_GRANULES[granules as usize]))
     }
 
     /// Object size of this class in bytes.

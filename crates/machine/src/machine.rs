@@ -352,6 +352,7 @@ impl Machine {
     /// # Panics
     ///
     /// Panics outside any frame or if `i` is out of range.
+    #[inline]
     pub fn set_local(&mut self, i: u32, value: u32) {
         let (base, locals) = self.top_frame();
         assert!(i < locals, "local {i} out of range {locals}");
@@ -494,6 +495,7 @@ impl Machine {
     /// # Panics
     ///
     /// Panics on a memory fault (a workload bug).
+    #[inline]
     pub fn store(&mut self, addr: Addr, value: u32) {
         self.gc
             .space_mut()

@@ -187,11 +187,13 @@ impl Segment {
 
     /// One past the highest address of the segment, as a 64-bit value so a
     /// segment may end exactly at the 4 GiB boundary.
+    #[inline]
     pub fn end(&self) -> u64 {
         u64::from(self.base.raw()) + self.data.len() as u64
     }
 
     /// Returns `true` if `addr` lies within the segment.
+    #[inline]
     pub fn contains(&self, addr: Addr) -> bool {
         addr >= self.base && u64::from(addr.raw()) < self.end()
     }

@@ -8,7 +8,7 @@ const NO_CACHE: u32 = u32::MAX;
 
 /// A caller-owned one-entry segment lookup hint for long scans.
 ///
-/// [`AddressSpace::find`] keeps a single *shared* cached segment; when
+/// [`AddressSpace::find`] keeps a small *shared* segment cache; when
 /// parallel mark workers scan different segments through the same
 /// `&AddressSpace`, each worker's store evicts the others' entry and every
 /// lookup falls back to the binary search. A `SegmentHint` is the private
@@ -57,11 +57,13 @@ pub struct AddressSpace {
     slots: Vec<Option<Segment>>,
     /// Live segments sorted by base address.
     order: Vec<(Addr, SegmentId)>,
-    /// One-entry lookup cache: conservative scans touch long runs of
-    /// addresses within one segment, so this hits almost always. Atomic
-    /// (relaxed; `NO_CACHE` = empty) so shared `&AddressSpace` scans from
-    /// parallel mark workers stay legal — the cache is only ever a hint.
-    cache: AtomicU32,
+    /// Two-entry lookup cache, most recently used first. Conservative
+    /// scans touch long runs of addresses within one segment, and a
+    /// mutator alternates between its stack and the heap, so one of the
+    /// two hits almost always. Atomic (relaxed; `NO_CACHE` = empty) so
+    /// shared `&AddressSpace` scans from parallel mark workers stay legal
+    /// — the cache is only ever a hint.
+    cache: [AtomicU32; 2],
 }
 
 impl Clone for AddressSpace {
@@ -70,7 +72,10 @@ impl Clone for AddressSpace {
             endian: self.endian,
             slots: self.slots.clone(),
             order: self.order.clone(),
-            cache: AtomicU32::new(self.cache.load(Ordering::Relaxed)),
+            cache: self
+                .cache
+                .each_ref()
+                .map(|c| AtomicU32::new(c.load(Ordering::Relaxed))),
         }
     }
 }
@@ -82,7 +87,7 @@ impl AddressSpace {
             endian,
             slots: Vec::new(),
             order: Vec::new(),
-            cache: AtomicU32::new(NO_CACHE),
+            cache: [AtomicU32::new(NO_CACHE), AtomicU32::new(NO_CACHE)],
         }
     }
 
@@ -194,7 +199,9 @@ impl AddressSpace {
             .expect("live segment present in order index");
         self.order.remove(pos);
         let _ = seg;
-        self.cache.store(NO_CACHE, Ordering::Relaxed);
+        for entry in &self.cache {
+            entry.store(NO_CACHE, Ordering::Relaxed);
+        }
     }
 
     /// Returns the live segment with the given id.
@@ -202,6 +209,7 @@ impl AddressSpace {
     /// # Panics
     ///
     /// Panics if the segment was never mapped or has been unmapped.
+    #[inline]
     pub fn segment(&self, id: SegmentId) -> &Segment {
         self.slots[id.0 as usize]
             .as_ref()
@@ -209,6 +217,7 @@ impl AddressSpace {
     }
 
     /// Returns the live segment with the given id, or `None` if unmapped.
+    #[inline]
     pub fn try_segment(&self, id: SegmentId) -> Option<&Segment> {
         self.slots.get(id.0 as usize)?.as_ref()
     }
@@ -220,6 +229,7 @@ impl AddressSpace {
     /// # Panics
     ///
     /// Panics if `id` does not refer to a live segment.
+    #[inline]
     pub fn set_root_window(&mut self, id: SegmentId, window: Option<(Addr, Addr)>) {
         self.slots[id.0 as usize]
             .as_mut()
@@ -250,30 +260,45 @@ impl AddressSpace {
     }
 
     /// Finds the segment containing `addr`, if any.
+    #[inline]
     pub fn find(&self, addr: Addr) -> Option<&Segment> {
-        let cached = self.cache.load(Ordering::Relaxed);
-        if cached != NO_CACHE {
-            if let Some(seg) = self.try_segment(SegmentId(cached)) {
-                if seg.contains(addr) {
-                    return Some(seg);
-                }
-            }
+        let [first, second] = &self.cache;
+        let mru = first.load(Ordering::Relaxed);
+        if let Some(seg) = self.cached(mru, addr) {
+            return Some(seg);
         }
+        let other = second.load(Ordering::Relaxed);
+        let seg = match self.cached(other, addr) {
+            Some(seg) => seg,
+            None => self.search(addr)?,
+        };
+        first.store(seg.id().0, Ordering::Relaxed);
+        second.store(mru, Ordering::Relaxed);
+        Some(seg)
+    }
+
+    /// The cache entry `entry`'s segment, if it is live and holds `addr`.
+    #[inline]
+    fn cached(&self, entry: u32, addr: Addr) -> Option<&Segment> {
+        if entry == NO_CACHE {
+            return None;
+        }
+        self.try_segment(SegmentId(entry))
+            .filter(|seg| seg.contains(addr))
+    }
+
+    /// The segment holding `addr`, by binary search over `order`.
+    fn search(&self, addr: Addr) -> Option<&Segment> {
         let pos = self.order.partition_point(|&(b, _)| b <= addr);
         let (_, id) = *self.order.get(pos.checked_sub(1)?)?;
-        let seg = self.segment(id);
-        if seg.contains(addr) {
-            self.cache.store(id.0, Ordering::Relaxed);
-            Some(seg)
-        } else {
-            None
-        }
+        Some(self.segment(id)).filter(|seg| seg.contains(addr))
     }
 
     /// Finds the segment containing `addr`, consulting and updating only
     /// the caller's [`SegmentHint`] — the shared one-entry cache is never
     /// read or written, so concurrent scans through distinct hints cannot
     /// evict each other.
+    #[inline]
     pub fn find_hinted(&self, addr: Addr, hint: &mut SegmentHint) -> Option<&Segment> {
         if let Some(id) = hint.0 {
             if let Some(seg) = self.try_segment(id) {
@@ -282,15 +307,9 @@ impl AddressSpace {
                 }
             }
         }
-        let pos = self.order.partition_point(|&(b, _)| b <= addr);
-        let (_, id) = *self.order.get(pos.checked_sub(1)?)?;
-        let seg = self.segment(id);
-        if seg.contains(addr) {
-            hint.0 = Some(id);
-            Some(seg)
-        } else {
-            None
-        }
+        let seg = self.search(addr)?;
+        hint.0 = Some(seg.id());
+        Some(seg)
     }
 
     /// [`bytes_at`](AddressSpace::bytes_at) through a caller-owned
@@ -299,6 +318,7 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Faults if the whole range is not inside a single mapped segment.
+    #[inline]
     pub fn bytes_at_hinted(
         &self,
         addr: Addr,
@@ -325,6 +345,7 @@ impl AddressSpace {
         self.segments().map(|s| u64::from(s.len())).sum()
     }
 
+    #[inline]
     fn locate(&self, addr: Addr, width: u32) -> Result<(&Segment, usize), VmError> {
         let seg = self.find(addr).ok_or(VmError::Unmapped { addr })?;
         let off = addr - seg.base;
@@ -334,6 +355,7 @@ impl AddressSpace {
         Ok((seg, off as usize))
     }
 
+    #[inline]
     fn locate_mut(&mut self, addr: Addr, width: u32) -> Result<(&mut Segment, usize), VmError> {
         let id = {
             let seg = self.find(addr).ok_or(VmError::Unmapped { addr })?;
@@ -377,6 +399,7 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Faults if unmapped or if the access crosses the segment end.
+    #[inline]
     pub fn read_u32(&self, addr: Addr) -> Result<u32, VmError> {
         let (seg, off) = self.locate(addr, 4)?;
         Ok(self.endian.read_u32(&seg.data[off..off + 4]))
@@ -410,6 +433,7 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Faults if unmapped, read-only, or crossing the segment end.
+    #[inline]
     pub fn write_u32(&mut self, addr: Addr, value: u32) -> Result<(), VmError> {
         let bytes = self.endian.u32_bytes(value);
         let (seg, off) = self.locate_mut(addr, 4)?;
@@ -456,6 +480,7 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Faults if the whole range is not inside a single writable segment.
+    #[inline]
     pub fn fill(&mut self, addr: Addr, len: u32, byte: u8) -> Result<(), VmError> {
         let (seg, off) = self.locate_mut(addr, len)?;
         seg.data[off..off + len as usize].fill(byte);
@@ -871,7 +896,7 @@ mod tests {
         let mut hint = SegmentHint::new();
         assert!(s.find_hinted(Addr::new(0x3000), &mut hint).is_some());
         assert_eq!(
-            s.cache.load(Ordering::Relaxed),
+            s.cache[0].load(Ordering::Relaxed),
             a.raw(),
             "hinted scan did not evict the shared entry"
         );
@@ -883,5 +908,88 @@ mod tests {
         assert_eq!(s.roots().count(), 1);
         s.set_root(id, false);
         assert_eq!(s.roots().count(), 0);
+    }
+
+    /// A stack at the top of the space, a heap and static data, as a
+    /// mutator maps them.
+    fn three_segments() -> (AddressSpace, [SegmentId; 3]) {
+        let mut s = AddressSpace::new(Endian::Big);
+        let mut map = |name, kind, base: u32, len| {
+            s.map(SegmentSpec::new(name, kind, Addr::new(base), len))
+                .unwrap()
+        };
+        let ids = [
+            map("static", SegmentKind::Data, 0x2_0000, 0x1000),
+            map("heap", SegmentKind::Heap, 0x10_0000, 0x4_0000),
+            map("stack", SegmentKind::Stack, 0xffff_0000, 0x1_0000),
+        ];
+        (s, ids)
+    }
+
+    #[test]
+    fn cached_lookups_match_a_reference_scan_across_segments() {
+        let (s, _) = three_segments();
+        let reference = |addr: Addr| s.segments().find(|g| g.contains(addr)).map(|g| g.id());
+        // Every segment's edges, the gaps beside them and the top of the
+        // space, then a pseudo-random walk that keeps switching segments.
+        let mut addrs: Vec<u32> = s
+            .segments()
+            .flat_map(|g| {
+                let (base, end) = (g.base().raw(), (g.end() - 1) as u32);
+                [
+                    base.wrapping_sub(1),
+                    base,
+                    base + 4,
+                    end,
+                    end.wrapping_add(1),
+                ]
+            })
+            .chain([0, u32::MAX])
+            .collect();
+        let mut x = 0x2545_f491_u32;
+        for _ in 0..5000 {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            let seg = s.segments().nth(x as usize % 3).unwrap();
+            let off = (x >> 8) % (seg.len() + 64);
+            addrs.push(seg.base().raw().wrapping_add(off));
+        }
+        for (i, &a) in addrs.iter().enumerate() {
+            let addr = Addr::new(a);
+            assert_eq!(
+                s.find(addr).map(Segment::id),
+                reference(addr),
+                "lookup {i} of {a:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn unmap_clears_both_cache_entries() {
+        let (mut s, [data, heap, stack]) = three_segments();
+        let (in_heap, in_stack) = (Addr::new(0x10_0010), Addr::new(0xffff_fff0));
+        // Both entries hold a segment about to go.
+        assert_eq!(s.find(in_heap).map(Segment::id), Some(heap));
+        assert_eq!(s.find(in_stack).map(Segment::id), Some(stack));
+        let entries = |s: &AddressSpace| s.cache.each_ref().map(|e| e.load(Ordering::Relaxed));
+        s.unmap(heap);
+        assert!(!entries(&s).contains(&heap.raw()));
+        assert!(s.find(in_heap).is_none());
+        assert_eq!(s.find(in_stack).map(Segment::id), Some(stack));
+        s.unmap(stack);
+        assert!(!entries(&s).contains(&stack.raw()));
+        assert!(s.find(in_stack).is_none());
+        // A segment mapped over the old range is found under its new id.
+        let again = s
+            .map(SegmentSpec::new(
+                "heap2",
+                SegmentKind::Heap,
+                Addr::new(0x10_0000),
+                0x1000,
+            ))
+            .unwrap();
+        assert_eq!(s.find(in_heap).map(Segment::id), Some(again));
+        assert_eq!(s.find(Addr::new(0x2_0000)).map(Segment::id), Some(data));
     }
 }

@@ -158,6 +158,7 @@ fn metrics_json_snapshot_has_the_documented_schema() {
         "\"p99\":",
         "\"heap\":",
         "\"page_table_bytes\":",
+        "\"pop_words_scanned\":",
         "\"size_classes\":",
         "\"blacklist\":",
     ] {
