@@ -72,7 +72,6 @@ pub fn run(config: &FragmentationRun, policy: FreeListPolicy, seed: u64) -> Frag
         max_heap_bytes: 256 << 20,
         growth_pages: 64,
         freelist_policy: policy,
-        ..HeapConfig::default()
     });
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut live: Vec<Addr> = Vec::new();

@@ -81,6 +81,10 @@ pub struct Collector {
     /// count it was computed for, so the allocation path divides only
     /// when the heap has grown or shrunk.
     trigger: (u32, u64),
+    /// Mark workers for a stop-the-world collection, worked out once:
+    /// [`GcConfig::mark_threads`] clamped into `1..=MAX_MARK_THREADS`
+    /// and, unless forced, to the machine's cores.
+    mark_workers: u32,
 }
 
 /// How a cycle began: what [`Collector::begin_cycle`] hands the shared
@@ -126,6 +130,20 @@ impl Collector {
             !(config.generational && config.incremental),
             "generational and incremental modes are mutually exclusive"
         );
+        let requested = config.mark_threads.clamp(1, MAX_MARK_THREADS);
+        // Never oversubscribe the machine: a stop-world mark is pure CPU,
+        // so workers beyond the available cores only time-slice against
+        // each other and turn every steal into a context switch. On a
+        // single-core host a requested parallel mark therefore runs the
+        // serial drain (no thread spawned, no sharing overhead) and
+        // reports it as one parallel worker, keeping stats and events
+        // shaped the same across machines.
+        let mark_workers = if requested == 1 || config.mark_threads_force {
+            requested
+        } else {
+            let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+            requested.min(cores as u32)
+        };
         Collector {
             heap: Heap::new(config.heap.clone()),
             blacklist: Blacklist::new(config.blacklist_kind, config.blacklist_ttl),
@@ -138,6 +156,7 @@ impl Collector {
             lazy_reported: LazySweepStats::default(),
             allocs_at_last_collect: (0, 0),
             trigger: (u32::MAX, 0),
+            mark_workers,
             space,
             config,
         }
@@ -281,12 +300,12 @@ impl Collector {
     /// Completes any deferred (lazy) sweep work now, returning the number
     /// of blocks swept.
     ///
-    /// After a collection with [`GcConfig::lazy_sweep`], free-list
-    /// reconstruction and tenuring trickle in from the allocation slow
-    /// path; whole-heap analyses (census walks, page
-    /// accounting, fragmentation measurements, `dump`) that must see the
-    /// settled heap call this first. Always a no-op in eager mode or when
-    /// no blocks are pending.
+    /// After a collection with [`GcConfig::lazy_sweep`], each small
+    /// block's bit clearing and tenuring waits until allocation reaches
+    /// the block; whole-heap analyses (census walks, page accounting,
+    /// fragmentation measurements, `dump`) that must see the settled heap
+    /// call this first. Always a no-op in eager mode or when no blocks are
+    /// pending.
     pub fn finish_sweep(&mut self) -> u32 {
         let swept = self.heap.finish_sweep();
         self.note_lazy_sweep();
@@ -609,33 +628,21 @@ impl Collector {
         let cycle = self.begin_cycle(kind, reason);
         let minor = kind == CollectKind::Minor;
         let mut phases = PhaseTimes::default();
-        let requested = self.config.mark_threads.clamp(1, MAX_MARK_THREADS);
-        // Never oversubscribe the machine: a stop-world mark is pure CPU,
-        // so workers beyond the available cores only time-slice against
-        // each other and turn every steal into a context switch. On a
-        // single-core host a requested parallel mark therefore runs the
-        // serial drain (no thread spawned, no sharing overhead) and
-        // reports it as one parallel worker, keeping stats and events
-        // shaped the same across machines.
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let threads = if self.config.mark_threads_force {
-            requested
-        } else {
-            requested.min(cores as u32)
-        };
+        let threads = self.mark_workers;
         let mut workers = Vec::new();
         let mut acc;
         {
+            // Root-scan phase: conservative scan of every root segment;
+            // found objects stay on the mark stack. Always serial — roots
+            // carry provenance (which segment class blacklists a page), so
+            // they are scanned before workers fan out. Building the marker
+            // counts here too, so the four phases cover the pause.
+            let t_phase = Instant::now();
             let mut marker =
                 Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
             if minor {
                 marker = marker.minor();
             }
-            // Root-scan phase: conservative scan of every root segment;
-            // found objects stay on the mark stack. Always serial — roots
-            // carry provenance (which segment class blacklists a page), so
-            // they are scanned before workers fan out.
-            let t_phase = Instant::now();
             marker.run_roots_only();
             phases.root_scan = t_phase.elapsed();
             // Mark phase: transitive tracing, plus the generational
@@ -683,7 +690,7 @@ impl Collector {
                     marker.scan_dirty_pages(true);
                 }
                 acc = marker.outcome();
-                if requested > 1 {
+                if self.config.mark_threads > 1 {
                     workers.push(MarkWorkerStats {
                         objects_marked: acc.objects_marked - before.objects_marked,
                         bytes_marked: acc.bytes_marked - before.bytes_marked,
@@ -2392,7 +2399,7 @@ mod lazy_sweep_tests {
         gc.collect();
         let pending = gc.heap().pending_sweep_blocks();
         assert!(pending > 0);
-        // The slow path sweeps pending 16-byte blocks to satisfy this.
+        // The allocation reaches a pending 16-byte block and sweeps it.
         gc.alloc(16, ObjectKind::Composite).unwrap();
         assert!(gc.heap().pending_sweep_blocks() < pending);
         assert!(gc.heap().lazy_sweep_totals().blocks_swept > 0);

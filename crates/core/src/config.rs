@@ -186,18 +186,19 @@ pub struct GcConfig {
     /// `1..=MAX_MARK_THREADS`. Incremental tracing increments are always
     /// serial (they are budgeted mutator pauses, not a throughput phase).
     pub mark_threads: u32,
-    /// Defer sweeping to the allocation slow path: collections stop at a
-    /// per-block sweep *snapshot* (exact survivor accounting, empty blocks
-    /// released, no free-list rebuilding), and
-    /// [`Heap::alloc`](gc_heap::Heap::alloc) sweeps pending
-    /// blocks of the requested size class — at most
-    /// [`HeapConfig::sweep_budget`](gc_heap::HeapConfig::sweep_budget) blocks
-    /// per slow path — until the request is satisfied. Reported collection
-    /// pauses shrink by the deferred free-list work; liveness queries,
-    /// censuses, retention and object addresses are unchanged. Use
-    /// [`Collector::finish_sweep`](crate::Collector::finish_sweep) before
-    /// whole-heap analyses that must see final page accounting. Off by
-    /// default: the paper's collector sweeps eagerly inside the pause.
+    /// Where each small block's sweep runs: in the collection pause
+    /// (`false`, the default, as the paper's collector does), or when the
+    /// allocator reaches the block (`true`). Either way the pause decides
+    /// every slot's fate (exact survivor accounting, empty blocks
+    /// released) and rebuilds the address-ordered free lists, so liveness
+    /// queries, censuses, retention and every object's address are the
+    /// same. A lazy collection leaves the small blocks' bit clearing and
+    /// tenuring to [`Heap::alloc`](gc_heap::Heap::alloc), which sweeps a
+    /// block when its free list first selects it; blocks with no free
+    /// slot wait for the next cycle's start or
+    /// [`Collector::finish_sweep`](crate::Collector::finish_sweep), which
+    /// whole-heap analyses call first. Under the LIFO free-list policy the
+    /// sweep always runs in the pause.
     pub lazy_sweep: bool,
     /// Consult a small direct-mapped page → block resolve cache
     /// ([`PageResolveCache`](gc_heap::PageResolveCache)) during candidate
@@ -275,7 +276,6 @@ impl GcConfig {
     /// let config = GcConfig::builder()
     ///     .generational(true)
     ///     .lazy_sweep(true)
-    ///     .sweep_budget(32)
     ///     .build()
     ///     .expect("valid configuration");
     /// assert!(config.generational && config.lazy_sweep);
@@ -364,32 +364,21 @@ impl GcConfigBuilder {
         observer: Option<SharedObserver>,
     }
 
-    /// Sets the lazy-sweep work bound, in blocks per allocation slow path.
-    /// See [`HeapConfig::sweep_budget`](gc_heap::HeapConfig::sweep_budget).
-    #[must_use]
-    pub fn sweep_budget(mut self, blocks: u32) -> Self {
-        self.config.heap.sweep_budget = blocks;
-        self
-    }
-
     /// Validates and returns the configuration.
     ///
     /// # Errors
     ///
     /// Returns [`GcError::InvalidConfig`] when the configuration is
     /// internally inconsistent: zero mark threads (or more than
-    /// [`MAX_MARK_THREADS`]), a zero sweep budget, zero-valued collection
-    /// pacing (`free_space_divisor`, `full_gc_every`,
-    /// `incremental_budget`), or generational and incremental modes
-    /// enabled together.
+    /// [`MAX_MARK_THREADS`]), zero-valued collection pacing
+    /// (`free_space_divisor`, `full_gc_every`, `incremental_budget`), or
+    /// generational and incremental modes enabled together.
     pub fn build(self) -> Result<GcConfig, GcError> {
         let c = &self.config;
         let reason = if c.mark_threads == 0 {
             Some("mark_threads must be at least 1")
         } else if c.mark_threads > MAX_MARK_THREADS {
             Some("mark_threads exceeds MAX_MARK_THREADS")
-        } else if c.heap.sweep_budget == 0 {
-            Some("sweep_budget must be at least 1 block per allocation")
         } else if c.free_space_divisor == 0 {
             Some("free_space_divisor must be at least 1")
         } else if c.full_gc_every == 0 {
@@ -468,7 +457,10 @@ mod tests {
             .full_gc_every(3)
             .mark_threads(4)
             .lazy_sweep(true)
-            .sweep_budget(7)
+            .heap(HeapConfig {
+                growth_pages: 7,
+                ..HeapConfig::default()
+            })
             .min_bytes_between_gcs(1)
             .build()
             .expect("valid configuration");
@@ -477,7 +469,7 @@ mod tests {
         assert!(c.generational && c.lazy_sweep);
         assert_eq!(c.full_gc_every, 3);
         assert_eq!(c.mark_threads, 4);
-        assert_eq!(c.heap.sweep_budget, 7, "sweep_budget reaches the heap");
+        assert_eq!(c.heap.growth_pages, 7, "the heap configuration is kept");
         assert_eq!(c.min_bytes_between_gcs, 1);
     }
 
@@ -490,10 +482,6 @@ mod tests {
         assert_eq!(
             rejection(GcConfig::builder().mark_threads(MAX_MARK_THREADS + 1)),
             "mark_threads exceeds MAX_MARK_THREADS"
-        );
-        assert_eq!(
-            rejection(GcConfig::builder().sweep_budget(0)),
-            "sweep_budget must be at least 1 block per allocation"
         );
         assert_eq!(
             rejection(GcConfig::builder().free_space_divisor(0)),

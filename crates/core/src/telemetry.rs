@@ -62,7 +62,11 @@ use std::time::Duration;
 /// Version 8 added `heap.pop_words_scanned`, the allocation bitmap words
 /// read by free-list pops, and removed `lazy_sweep.blocks_released`,
 /// which was always 0 once lazy snapshots released every empty block.
-pub const METRICS_SCHEMA_VERSION: u32 = 8;
+///
+/// Version 9 removed the `sweep_budget` config field: a lazy heap sweeps
+/// each pending block when its address-ordered free list first selects
+/// it, so no per-allocation bound remains.
+pub const METRICS_SCHEMA_VERSION: u32 = 9;
 
 // ---------------------------------------------------------------------------
 // Phase timings
@@ -196,9 +200,9 @@ pub enum GcEvent {
         count: u32,
     },
     /// A batch of deferred sweep work was realized (lazy sweeping only):
-    /// an allocation slow path, an explicit free, or a
-    /// [`finish_sweep`](crate::Collector::finish_sweep) rebuilt free lists
-    /// for blocks a previous collection left pending.
+    /// an allocation that reached a pending block, an explicit free, or a
+    /// [`finish_sweep`](crate::Collector::finish_sweep) swept blocks a
+    /// previous collection left pending.
     LazySweep {
         /// Blocks swept in this batch.
         blocks_swept: u64,
@@ -849,19 +853,18 @@ pub(crate) fn metrics_json(gc: &Collector) -> String {
     );
 
     let config_summary = format!(
-        "{{\"pointer_policy\":\"{}\",\"scan_alignment\":\"{}\",\"generational\":{},\"incremental\":{},\"mark_threads\":{},\"lazy_sweep\":{},\"sweep_budget\":{},\"resolve_cache\":{}}}",
+        "{{\"pointer_policy\":\"{}\",\"scan_alignment\":\"{}\",\"generational\":{},\"incremental\":{},\"mark_threads\":{},\"lazy_sweep\":{},\"resolve_cache\":{}}}",
         config.pointer_policy,
         config.scan_alignment,
         config.generational,
         config.incremental,
         config.mark_threads,
         config.lazy_sweep,
-        config.heap.sweep_budget,
         config.resolve_cache,
     );
 
     // Lazy-sweep state: what is still pending, and the deferred work
-    // realized so far (free-list rebuilds now happen on mutator time, so
+    // realized so far (deferred block sweeps happen on mutator time, so
     // their latencies are sampled here rather than in `pause_ns`).
     let lazy_totals = gc.heap().lazy_sweep_totals();
     let lazy_sweep = format!(

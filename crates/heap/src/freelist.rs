@@ -32,15 +32,17 @@ impl fmt::Display for FreeListPolicy {
     }
 }
 
-/// The free slots of one (size class, kind) pair's realized blocks (none
-/// awaiting a deferred sweep), in the order a [`FreeListPolicy`] hands
-/// them out.
+/// The free slots of one (size class, kind) pair's blocks, in the order a
+/// [`FreeListPolicy`] hands them out.
 #[derive(Clone, Debug)]
 pub(crate) enum FreeList {
     /// The blocks with a free slot, by base address. The next slot is the
     /// first zero bit of the lowest block's allocation bitmap: the lowest
     /// free slot of the pair, since blocks do not overlap. Keeping the list
-    /// sorted costs one insert per block a sweep or free touches.
+    /// sorted costs one insert per block a sweep or free touches. A block
+    /// awaiting its deferred sweep is listed when that sweep will leave it
+    /// a free slot; the heap applies the sweep before the first pop from
+    /// it ([`FreeList::unstarted_block`]).
     Blocks {
         set: BTreeMap<Addr, BlockId>,
         /// Where the next pop starts, once one has found it: every slot
@@ -96,12 +98,14 @@ impl FreeList {
     }
 
     /// Offers the free slots of `block`: all of them after a sweep or the
-    /// block's creation, or only `freed` after an explicit free.
+    /// block's creation, or only `freed` after an explicit free. A pending
+    /// block is offered only by a sweep that counted a free slot in it,
+    /// and only to an address-ordered list.
     pub(crate) fn add(&mut self, block: &Block, freed: Option<u32>) {
         match self {
             FreeList::Blocks { set, cursor } => {
                 *cursor = None;
-                if block.live_objects() < block.slots() {
+                if block.pending || block.live_objects() < block.slots() {
                     set.insert(block.base, block.id);
                 }
             }
@@ -120,6 +124,17 @@ impl FreeList {
                 set.remove(&block.base);
             }
             FreeList::Lifo(stack) => stack.retain(|&a| block.slot_containing(a).is_none()),
+        }
+    }
+
+    /// The block the next pop will start on, when no pop has started on
+    /// it yet: the lowest listed block while the cursor is unset. `None`
+    /// when the cursor is set, the list is empty, or the list is LIFO.
+    #[inline]
+    pub(crate) fn unstarted_block(&self) -> Option<BlockId> {
+        match self {
+            FreeList::Blocks { set, cursor: None } => set.first_key_value().map(|(_, &id)| id),
+            _ => None,
         }
     }
 
@@ -146,6 +161,7 @@ impl FreeList {
                     },
                 };
                 let block = live(id);
+                debug_assert!(!block.pending, "pending blocks are swept first");
                 let (word, free) =
                     next_free_word(block, word, words_read).expect("listed block has a free slot");
                 // The cursor stays while this word has another free slot,

@@ -7,7 +7,7 @@ use crate::{
     GRANULE_BYTES,
 };
 use gc_vmspace::{Addr, AddressSpace, PageIdx, SegmentKind, SegmentSpec, PAGE_BYTES};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// The heap's page table: one entry per page of the heap's own span, from
@@ -268,11 +268,6 @@ pub struct HeapConfig {
     pub growth_pages: u32,
     /// Free-list ordering policy.
     pub freelist_policy: FreeListPolicy,
-    /// Deferred-sweep work bound: how many pending blocks one allocation's
-    /// slow path may sweep while reloading a free list (lazy sweeping).
-    /// Values below 1 behave as 1 — an allocation that finds its free list
-    /// empty must be allowed to sweep at least one block to make progress.
-    pub sweep_budget: u32,
 }
 
 impl Default for HeapConfig {
@@ -282,7 +277,6 @@ impl Default for HeapConfig {
             max_heap_bytes: 512 << 20,
             growth_pages: 256,
             freelist_policy: FreeListPolicy::AddressOrdered,
-            sweep_budget: 64,
         }
     }
 }
@@ -304,8 +298,8 @@ pub struct SweepStats {
     pub objects_promoted: u64,
     /// Bytes promoted.
     pub bytes_promoted: u64,
-    /// Blocks whose free-list reconstruction was deferred to the
-    /// allocator's slow path (lazy sweeping). Always 0 for an eager sweep.
+    /// Small blocks whose sweep was deferred until the allocator reaches
+    /// them (lazy sweeping). Always 0 for an eager sweep.
     /// The freed/live/promoted tallies above are exact either way: a lazy
     /// snapshot decides every slot's fate up front and defers only the
     /// mutation work.
@@ -313,8 +307,8 @@ pub struct SweepStats {
 }
 
 /// Cumulative accounting of *realized* deferred sweep work: everything the
-/// allocation slow path, [`Heap::finish_sweep`], and the explicit-free path
-/// have swept since the heap was created.
+/// allocator, [`Heap::finish_sweep`], and the explicit-free path have swept
+/// since the heap was created.
 ///
 /// The freed/promoted tallies here overlap the per-collection
 /// [`SweepStats`]: a lazy snapshot already reported each slot's fate; these
@@ -447,8 +441,9 @@ pub struct Heap {
     /// may relent. Keeps repeated atomic misses from rescanning the whole
     /// list.
     quarantine_scan: usize,
-    /// Free lists indexed by `class.index() * 2 + kind`: the free slots
-    /// of every realized (not pending) small block.
+    /// Free lists indexed by `class.index() * 2 + kind`: every small
+    /// block with a free slot, pending blocks whose deferred sweep will
+    /// leave one included.
     free_lists: Vec<FreeList>,
     /// Pages mapped but in no free run and no block (the free-run total,
     /// maintained incrementally so `stats()` is O(1)).
@@ -472,15 +467,6 @@ pub struct Heap {
     bytes_since_collect: u64,
     objects_allocated_total: u64,
     descriptors: Vec<Descriptor>,
-    /// Deferred-sweep queues for small blocks, indexed like `free_lists`:
-    /// blocks whose free-list reconstruction the last lazy snapshot left to
-    /// the allocator. Entries may be stale (block already swept via
-    /// `finish_sweep`, or released and its id reused by a fresh block);
-    /// the per-block `pending` flag decides, since every snapshot clears
-    /// the queues and fresh blocks are never pending.
-    pending_small: Vec<VecDeque<BlockId>>,
-    /// Deferred-sweep queue for large (whole-page) blocks.
-    pending_large: VecDeque<BlockId>,
     /// Blocks currently awaiting their deferred sweep.
     pending_blocks: u32,
     /// Whether the outstanding snapshot came from a *minor* collection
@@ -504,8 +490,7 @@ fn fl_index(class: SizeClass, kind: ObjectKind) -> usize {
         }
 }
 
-/// The free-list (and pending-queue) index of a small block; `None` for a
-/// large one.
+/// The free-list index of a small block; `None` for a large one.
 fn small_index(block: &Block) -> Option<usize> {
     match block.shape {
         BlockShape::Small { class } => Some(fl_index(class, block.kind)),
@@ -537,7 +522,6 @@ impl Heap {
         let free_lists = (0..SizeClass::COUNT * 2)
             .map(|_| FreeList::new(config.freelist_policy))
             .collect();
-        let pending_small = (0..SizeClass::COUNT * 2).map(|_| VecDeque::new()).collect();
         Heap {
             next_expansion: heap_base,
             last_segment: None,
@@ -560,8 +544,6 @@ impl Heap {
             bytes_since_collect: 0,
             objects_allocated_total: 0,
             descriptors: Vec::new(),
-            pending_small,
-            pending_large: VecDeque::new(),
             pending_blocks: 0,
             pending_minor: false,
             sweep_epoch: 0,
@@ -672,12 +654,9 @@ impl Heap {
     ///
     /// The returned object's memory is zeroed.
     ///
-    /// Under lazy sweeping this is the demand-driven slow path: when the
-    /// free list (or page pool) is empty, up to
-    /// [`sweep_budget`](HeapConfig::sweep_budget) pending blocks of the
-    /// requested size class are swept first, and a genuine out-of-memory
-    /// report is preceded by a [`finish_sweep`](Heap::finish_sweep) — the
-    /// lazy heap never refuses an allocation the eager heap could satisfy.
+    /// Under lazy sweeping, a pending block is swept when its free list
+    /// first reaches it, so every object lands where it would after an
+    /// eager sweep.
     ///
     /// # Errors
     ///
@@ -714,65 +693,29 @@ impl Heap {
         if bytes == 0 {
             return Err(HeapError::ZeroSized);
         }
-        let (addr, id, slot) = match self.alloc_sized(space, bytes, kind, &mut *pred) {
-            Err(HeapError::OutOfMemory { .. }) if self.pending_blocks > 0 => {
-                // Unswept blocks may still hold the slots this request
-                // needs; complete the deferred sweep before reporting a
-                // real out-of-memory condition.
-                self.finish_sweep();
-                self.alloc_sized(space, bytes, kind, pred)
-            }
-            result => result,
+        let (addr, id, slot) = match SizeClass::for_bytes(bytes) {
+            Some(class) => self.alloc_small(space, class, kind, pred),
+            None => self.alloc_large(space, bytes, kind, pred),
         }?;
         self.block_mut(id).set_descriptor(slot, desc.map(|d| d.0));
         Ok(addr)
     }
 
-    fn alloc_sized(
-        &mut self,
-        space: &mut AddressSpace,
-        bytes: u32,
-        kind: ObjectKind,
-        pred: PagePredicate<'_>,
-    ) -> Result<(Addr, BlockId, u32), HeapError> {
-        match SizeClass::for_bytes(bytes) {
-            Some(class) => self.alloc_small(space, class, kind, pred),
-            None => self.alloc_large(space, bytes, kind, pred),
-        }
-    }
-
-    /// Takes the next free slot of `fli` per the free-list policy.
+    /// Takes the next free slot of `fli` per the free-list policy. A
+    /// pending block is swept when the list first selects it.
     #[inline]
     fn pop_small_slot(&mut self, fli: usize) -> Option<(BlockId, u32)> {
+        if let Some(id) = self.free_lists[fli].unstarted_block() {
+            if self.block(id).is_some_and(|b| b.pending) {
+                self.realize([id]);
+            }
+        }
         let page_table = &self.page_table;
         self.free_lists[fli].pop(
             &self.blocks,
             |addr| page_table.get(addr.page()),
             &mut self.pop_words_scanned,
         )
-    }
-
-    /// Lazy sweeping's slow path for an empty free list: sweeps pending
-    /// blocks of `fli` until one yields a free slot, which it takes, or
-    /// the per-allocation budget is spent.
-    fn sweep_pending_small(&mut self, fli: usize) -> Option<(BlockId, u32)> {
-        if self.pending_small[fli].is_empty() {
-            return None;
-        }
-        let t0 = Instant::now();
-        let mut budget = self.config.sweep_budget.max(1);
-        let mut free = None;
-        while budget > 0 && free.is_none() {
-            let Some(id) = self.pending_small[fli].pop_front() else {
-                break;
-            };
-            if self.sweep_pending_block(id) {
-                budget -= 1;
-                free = self.pop_small_slot(fli);
-            }
-        }
-        self.lazy_totals.sweep_time += t0.elapsed();
-        free
     }
 
     fn alloc_small(
@@ -783,12 +726,7 @@ impl Heap {
         pred: PagePredicate<'_>,
     ) -> Result<(Addr, BlockId, u32), HeapError> {
         let fli = fl_index(class, kind);
-        // Blocks the last collection left pending are swept before a
-        // fresh page is taken.
-        if let Some((id, slot)) = self
-            .pop_small_slot(fli)
-            .or_else(|| self.sweep_pending_small(fli))
-        {
+        if let Some((id, slot)) = self.pop_small_slot(fli) {
             return self.finish_alloc(space, id, slot);
         }
         let mut denied = 0u32;
@@ -858,10 +796,6 @@ impl Heap {
             });
         };
         let npages = obj_bytes.div_ceil(PAGE_BYTES);
-        // Lazy-sweep slow path: realize a budget of pending large blocks
-        // (all live: dead ones went at the snapshot) so their deferred work
-        // does not pile up for the next cycle's start.
-        self.sweep_pending_large();
         let mut denied = 0u32;
         let mut check = |p: PageIdx, first: bool| {
             let use_ = if first {
@@ -1263,67 +1197,69 @@ impl Heap {
     /// regardless of mark bits, unmarked young objects are reclaimed, and
     /// marked young objects are promoted (sticky mark bits, as in the PCR
     /// generational collector the paper builds on).
+    ///
+    /// An eager sweep supersedes any outstanding lazy snapshot: it visits
+    /// every block with the same (fresh) mark bits the deferred sweeps
+    /// would have used.
     pub fn sweep(&mut self, minor: bool) -> SweepStats {
-        // An eager sweep supersedes any outstanding lazy snapshot: it
-        // visits every block with the same (fresh) mark bits the deferred
-        // sweeps would have used.
-        self.reset_sweep_state();
-        let mut stats = SweepStats::default();
-        let mut released: Vec<BlockId> = Vec::new();
-        for block in self.blocks.iter_mut().flatten() {
-            block.pending = false;
-            let fates = block.sweep_apply(minor);
-            stats.tally(fates, block.obj_bytes());
-            if fates.live == 0 {
-                released.push(block.id);
-            } else if let Some(fli) = small_index(block) {
-                self.free_lists[fli].add(block, None);
-            }
-        }
-        for id in released {
-            self.release_block(id);
-            stats.blocks_released += 1;
-        }
-        self.bytes_live = stats.bytes_live;
-        stats
+        self.sweep_blocks(minor, false)
     }
 
     /// Lazy counterpart of [`Heap::sweep`]: decides every slot's fate
     /// against the current mark bits (so all counts in the returned stats
     /// are exact and `bytes_live` is re-based, exactly as after an eager
-    /// sweep) but defers the per-slot mutation work — free-list
-    /// reconstruction, bit clearing, tenuring — to the allocator's slow
-    /// path, [`Heap::finish_sweep`], or the explicit-free path. All object
-    /// free lists are cleared: a pending block's slots become allocatable
-    /// only once that block is actually swept.
+    /// sweep) but defers each small block's per-slot work — bit clearing
+    /// and tenuring — until the allocator reaches the block in its
+    /// address-ordered free list, [`Heap::finish_sweep`] runs, or an
+    /// explicit free touches it.
     ///
-    /// Blocks with no survivor are released now, as the eager sweep and
-    /// bdwgc's reclaim start do: their pages return to the pool in the
-    /// pause, so a fresh block of any class lands where it would after an
-    /// eager sweep.
+    /// The free lists are rebuilt as an eager sweep rebuilds them, pending
+    /// blocks included, so every allocation takes the slot it would take
+    /// after [`Heap::sweep`]. Blocks with no survivor are released now, as
+    /// the eager sweep and bdwgc's reclaim start do. Large blocks, and
+    /// every block under the LIFO policy (whose list holds slots, which
+    /// exist only once the sweep is applied), are swept now.
     ///
     /// The caller (the collector) must complete any previous snapshot
     /// *before* clearing mark bits for the next cycle — pending blocks'
     /// reclamation decisions live in those bits.
     pub fn sweep_lazy(&mut self, minor: bool) -> SweepStats {
-        self.reset_sweep_state();
+        self.sweep_blocks(minor, true)
+    }
+
+    /// The one sweep loop: decides every block's fate, applies it now
+    /// (`sweep_apply`) or, with `defer`, only counts it (`sweep_census`)
+    /// and marks the block pending, releases blocks with no survivor, and
+    /// offers every small block that will have a free slot to its free
+    /// list.
+    fn sweep_blocks(&mut self, minor: bool, defer: bool) -> SweepStats {
+        let policy = self.config.freelist_policy;
+        let defer = defer && policy == FreeListPolicy::AddressOrdered;
+        for fl in &mut self.free_lists {
+            *fl = FreeList::new(policy);
+        }
+        self.pending_blocks = 0;
         self.pending_minor = minor;
-        self.sweep_epoch += 1;
+        self.sweep_epoch += u64::from(defer);
         let mut stats = SweepStats::default();
         let mut released: Vec<BlockId> = Vec::new();
         for block in self.blocks.iter_mut().flatten() {
-            let fates = block.sweep_census(minor);
+            let fli = small_index(block);
+            block.pending = defer && fli.is_some();
+            let fates = if block.pending {
+                block.sweep_census(minor)
+            } else {
+                block.sweep_apply(minor)
+            };
             stats.tally(fates, block.obj_bytes());
             if fates.live == 0 {
                 released.push(block.id);
                 continue;
             }
-            block.pending = true;
-            match small_index(block) {
-                Some(fli) => self.pending_small[fli].push_back(block.id),
-                None => self.pending_large.push_back(block.id),
+            self.pending_blocks += u32::from(block.pending);
+            if let Some(fli) = fli.filter(|_| fates.live < block.slots()) {
+                self.free_lists[fli].add(block, None);
             }
-            self.pending_blocks += 1;
         }
         for id in released {
             self.release_block(id);
@@ -1334,66 +1270,37 @@ impl Heap {
         stats
     }
 
-    /// Clears every free list and pending queue ahead of a sweep or
-    /// snapshot, which rebuilds them.
-    fn reset_sweep_state(&mut self) {
-        for fl in &mut self.free_lists {
-            *fl = FreeList::new(self.config.freelist_policy);
-        }
-        for q in &mut self.pending_small {
-            q.clear();
-        }
-        self.pending_large.clear();
-        self.pending_blocks = 0;
-    }
-
-    /// Realizes the deferred sweep of one pending block: frees condemned
-    /// slots, tenures survivors and rebuilds its share of the free list.
-    /// The block keeps a survivor: the snapshot released every block with
-    /// none, and a pending block allocates nothing. Returns `false` for
-    /// stale queue entries (block already swept or released).
-    fn sweep_pending_block(&mut self, id: BlockId) -> bool {
-        let Some(block) = self.blocks.get_mut(id.0 as usize).and_then(Option::as_mut) else {
-            return false;
-        };
-        if !block.pending {
-            return false;
-        }
-        block.pending = false;
-        let fates = block.sweep_apply(self.pending_minor);
-        debug_assert!(fates.live > 0, "the snapshot released empty blocks");
-        let ob = u64::from(block.obj_bytes());
-        if let Some(fli) = small_index(block) {
-            self.free_lists[fli].add(block, None);
-        }
-        // `bytes_live` was already re-based by the snapshot; only the
-        // realized-work totals move here.
-        self.pending_blocks -= 1;
-        let totals = &mut self.lazy_totals;
-        totals.blocks_swept += 1;
-        totals.objects_freed += u64::from(fates.freed);
-        totals.bytes_freed += u64::from(fates.freed) * ob;
-        totals.objects_promoted += u64::from(fates.promoted);
-        totals.bytes_promoted += u64::from(fates.promoted) * ob;
-        true
-    }
-
-    /// Sweeps up to one budget's worth of pending large blocks.
-    fn sweep_pending_large(&mut self) {
-        if self.pending_large.is_empty() {
-            return;
-        }
+    /// Applies the deferred sweep of the pending blocks `ids`: frees
+    /// condemned slots and tenures survivors. Each block keeps a survivor
+    /// (the snapshot released every block with none) and stays listed in
+    /// its free list exactly when the snapshot listed it, since the slots
+    /// it frees are the ones the snapshot counted. Returns the number of
+    /// blocks swept.
+    fn realize(&mut self, ids: impl IntoIterator<Item = BlockId>) -> u32 {
         let t0 = Instant::now();
-        let mut budget = self.config.sweep_budget.max(1);
-        while budget > 0 {
-            let Some(id) = self.pending_large.pop_front() else {
-                break;
-            };
-            if self.sweep_pending_block(id) {
-                budget -= 1;
-            }
+        let mut swept = 0;
+        let totals = &mut self.lazy_totals;
+        for id in ids {
+            let block = self.blocks[id.0 as usize]
+                .as_mut()
+                .expect("pending block is live");
+            debug_assert!(block.pending, "only pending blocks are realized");
+            block.pending = false;
+            let fates = block.sweep_apply(self.pending_minor);
+            debug_assert!(fates.live > 0, "the snapshot released empty blocks");
+            // `bytes_live` was already re-based by the snapshot; only the
+            // realized-work totals move here.
+            let ob = u64::from(block.obj_bytes());
+            totals.objects_freed += u64::from(fates.freed);
+            totals.bytes_freed += u64::from(fates.freed) * ob;
+            totals.objects_promoted += u64::from(fates.promoted);
+            totals.bytes_promoted += u64::from(fates.promoted) * ob;
+            swept += 1;
         }
-        self.lazy_totals.sweep_time += t0.elapsed();
+        self.pending_blocks -= swept;
+        totals.blocks_swept += u64::from(swept);
+        totals.sweep_time += t0.elapsed();
+        swept
     }
 
     /// Completes any outstanding lazy-sweep snapshot, sweeping every
@@ -1407,26 +1314,9 @@ impl Heap {
         if self.pending_blocks == 0 {
             return 0;
         }
-        let t0 = Instant::now();
-        let mut swept = 0;
-        let ids: Vec<BlockId> = self
-            .blocks
-            .iter()
-            .flatten()
-            .filter(|b| b.pending)
-            .map(|b| b.id)
-            .collect();
-        for id in ids {
-            if self.sweep_pending_block(id) {
-                swept += 1;
-            }
-        }
-        for q in &mut self.pending_small {
-            q.clear();
-        }
-        self.pending_large.clear();
+        let ids: Vec<BlockId> = self.blocks().filter(|b| b.pending).map(|b| b.id).collect();
+        let swept = self.realize(ids);
         debug_assert_eq!(self.pending_blocks, 0, "every pending block swept");
-        self.lazy_totals.sweep_time += t0.elapsed();
         swept
     }
 
@@ -1513,8 +1403,6 @@ impl Heap {
     ///   mapping the id's new block) bumps the page-table epoch, so a cache
     ///   filled before the release flushes instead of resolving the old
     ///   page to the new block.
-    /// - The lazy-sweep queues: a stale entry naming the reused id finds a
-    ///   fresh block, which is never pending, and is skipped.
     /// - [`ObjRef`]s on a collector's mark stack: blocks are released only
     ///   by sweeps and explicit frees, and the collector runs neither while
     ///   a mark stack holds references — it completes any deferred sweep
@@ -1553,10 +1441,7 @@ impl Heap {
         // collector already condemned reports `NotAnObject`).
         if let Some((b, _)) = self.slot_of(addr) {
             if b.pending {
-                let id = b.id();
-                let t0 = Instant::now();
-                self.sweep_pending_block(id);
-                self.lazy_totals.sweep_time += t0.elapsed();
+                self.realize([b.id()]);
             }
         }
         let (block, slot) = match self.slot_of(addr) {
@@ -2257,8 +2142,8 @@ mod lazy_sweep_tests {
         }
         heap.sweep_lazy(false);
         assert_eq!(heap.pending_sweep_blocks(), 1);
-        // The next allocation of this class sweeps the pending block and
-        // recycles the lowest condemned slot (address-ordered policy).
+        // The next allocation of this class reaches the pending block in
+        // its free list, sweeps it and recycles the lowest condemned slot.
         let fresh = heap
             .alloc(&mut space, 16, ObjectKind::Composite, &mut accept_all)
             .unwrap();
@@ -2365,37 +2250,86 @@ mod lazy_sweep_tests {
     }
 
     #[test]
-    fn out_of_memory_finishes_the_sweep_before_failing() {
-        let space = &mut AddressSpace::new(Endian::Big);
-        let mut heap = Heap::new(HeapConfig {
-            heap_base: Addr::new(0x0003_0000),
-            max_heap_bytes: 16 * u64::from(PAGE_BYTES),
-            growth_pages: 4,
-            sweep_budget: 1,
-            ..HeapConfig::default()
-        });
-        // Fill all 16 pages (16-byte class, 256 slots/page); only the last
-        // object is garbage, so only the last block has a free slot.
-        let addrs: Vec<Addr> = (0..(16 * 256))
-            .map(|_| {
-                heap.alloc(space, 16, ObjectKind::Composite, &mut accept_all)
+    fn a_full_lazy_heap_serves_what_the_eager_heap_serves() {
+        let run = |lazy: bool| {
+            let space = &mut AddressSpace::new(Endian::Big);
+            let mut heap = Heap::new(HeapConfig {
+                heap_base: Addr::new(0x0003_0000),
+                max_heap_bytes: 16 * u64::from(PAGE_BYTES),
+                growth_pages: 4,
+                ..HeapConfig::default()
+            });
+            // Fill all 16 pages (16-byte class, 256 slots/page); only the
+            // last object is garbage, so only the last block has a free
+            // slot, and the heap has no page left.
+            let addrs: Vec<Addr> = (0..(16 * 256))
+                .map(|_| {
+                    heap.alloc(space, 16, ObjectKind::Composite, &mut accept_all)
+                        .unwrap()
+                })
+                .collect();
+            let (&last, survivors) = addrs.split_last().unwrap();
+            for &a in survivors {
+                mark(&mut heap, a);
+            }
+            if lazy {
+                heap.sweep_lazy(false);
+            } else {
+                heap.sweep(false);
+            }
+            let mut alloc = || heap.alloc(space, 16, ObjectKind::Composite, &mut accept_all);
+            let served = (alloc(), alloc());
+            assert_eq!(served.0, Ok(last), "the garbage slot is served");
+            (served, heap.pending_sweep_blocks())
+        };
+        let (eager, _) = run(false);
+        let (lazy, pending) = run(true);
+        assert_eq!(lazy, eager, "the lazy heap serves and refuses alike");
+        assert!(matches!(eager.1, Err(HeapError::OutOfMemory { .. })));
+        // The 15 full blocks have nothing to serve: they wait for
+        // `finish_sweep`.
+        assert_eq!(pending, 15);
+    }
+
+    #[test]
+    fn lazy_refill_follows_addresses_when_block_ids_do_not() {
+        let refill = |lazy: bool| {
+            let (mut space, mut heap) = setup();
+            let mut alloc = |heap: &mut Heap, bytes| {
+                heap.alloc(&mut space, bytes, ObjectKind::Composite, &mut accept_all)
                     .unwrap()
-            })
-            .collect();
-        let (&last, survivors) = addrs.split_last().unwrap();
-        for &a in survivors {
-            mark(&mut heap, a);
-        }
-        heap.sweep_lazy(false);
-        assert_eq!(heap.pending_sweep_blocks(), 16);
-        // A budget of one sweeps only the first (full) block, and the heap
-        // has no page left; the allocator must complete the deferred sweep
-        // instead of reporting out-of-memory.
-        let fresh = heap
-            .alloc(space, 16, ObjectKind::Composite, &mut accept_all)
-            .expect("finish_sweep frees the slot this request needs");
-        assert_eq!(fresh, last);
-        assert_eq!(heap.pending_sweep_blocks(), 0);
+            };
+            // Four one-page large objects take ids 0-3 on pages 0-3. Freed
+            // in the order 1, 2, 3, 0, their ids come back as 0, 3, 2, 1.
+            let large: Vec<Addr> = (0..4).map(|_| alloc(&mut heap, 3000)).collect();
+            for i in [1, 2, 3, 0] {
+                heap.free_object(large[i]).unwrap();
+            }
+            // Four 2048-byte blocks (two slots each) on pages 0-3 under
+            // those ids; the first object of each survives.
+            let objs: Vec<Addr> = (0..8).map(|_| alloc(&mut heap, 2048)).collect();
+            let kept: Vec<Addr> = objs.into_iter().step_by(2).collect();
+            let ids: Vec<u32> = kept
+                .iter()
+                .map(|&a| heap.object_containing(a).unwrap().block.raw())
+                .collect();
+            assert_eq!(ids, [0, 3, 2, 1]);
+            heap.clear_marks();
+            for &a in &kept {
+                mark(&mut heap, a);
+            }
+            if lazy {
+                heap.sweep_lazy(false);
+            } else {
+                heap.sweep(false);
+            }
+            (0..4)
+                .map(|_| alloc(&mut heap, 2048).raw())
+                .collect::<Vec<u32>>()
+        };
+        let eager = refill(false);
+        assert_eq!(eager, [0x30800, 0x31800, 0x32800, 0x33800]);
+        assert_eq!(refill(true), eager, "lazy refill follows address order");
     }
 
     #[test]

@@ -4,13 +4,12 @@
 use super::*;
 use gc_vmspace::Endian;
 
-fn setup(sweep_budget: u32) -> (AddressSpace, Heap) {
+fn setup() -> (AddressSpace, Heap) {
     let space = AddressSpace::new(Endian::Big);
     let heap = Heap::new(HeapConfig {
         heap_base: Addr::new(0x0003_0000),
         max_heap_bytes: 8 << 20,
         growth_pages: 16,
-        sweep_budget,
         ..HeapConfig::default()
     });
     (space, heap)
@@ -23,7 +22,7 @@ fn alloc(space: &mut AddressSpace, heap: &mut Heap, bytes: u32) -> Addr {
 
 #[test]
 fn block_table_is_bounded_by_peak_live_blocks() {
-    let (mut space, mut heap) = setup(64);
+    let (mut space, mut heap) = setup();
     let mut peak = 0;
     for round in 0..40usize {
         let n = 200 + (round * 37) % 900;
@@ -51,7 +50,7 @@ fn block_table_is_bounded_by_peak_live_blocks() {
 
 #[test]
 fn resolve_cache_never_maps_a_released_page_to_a_reused_id() {
-    let (mut space, mut heap) = setup(64);
+    let (mut space, mut heap) = setup();
     let doomed = alloc(&mut space, &mut heap, 8);
     let keep = alloc(&mut space, &mut heap, 100);
     let old_id = heap.object_containing(doomed).unwrap().block;
@@ -77,40 +76,6 @@ fn resolve_cache_never_maps_a_released_page_to_a_reused_id() {
     assert_eq!(cache.block_for(old_page, &heap.page_table), None);
     assert_eq!(resolve_cached(&mut heap, doomed, &mut cache), None);
     assert_eq!(resolve_cached(&mut heap, fresh, &mut cache), Some(reused));
-}
-
-#[test]
-fn stale_pending_entry_naming_a_reused_id_is_skipped() {
-    let (mut space, mut heap) = setup(1);
-    // Block A: a full page of 16-byte objects, one survivor. Block B: one
-    // survivor. Both queue for the 16-byte class, A first.
-    let a: Vec<Addr> = (0..256).map(|_| alloc(&mut space, &mut heap, 16)).collect();
-    let b = alloc(&mut space, &mut heap, 16);
-    let a_id = heap.object_containing(a[0]).unwrap().block;
-    heap.clear_marks();
-    for addr in [a[0], b] {
-        let obj = heap.object_containing(addr).unwrap();
-        heap.set_marked(obj);
-    }
-    heap.sweep_lazy(false);
-    assert_eq!(heap.pending_sweep_blocks(), 2);
-    // Freeing A's survivor realizes A's sweep and then releases the
-    // emptied block; its queue entry stays behind.
-    assert_eq!(heap.free_object(a[0]), Ok(()));
-    assert!(heap.block(a_id).is_none());
-    // A fresh, non-pending block of another class takes A's id.
-    let other = alloc(&mut space, &mut heap, 100);
-    let other_obj = heap.object_containing(other).unwrap();
-    assert_eq!(other_obj.block, a_id);
-    assert!(!heap.block(a_id).unwrap().is_pending_sweep());
-    // At budget 1 the stale entry must be skipped without sweeping the
-    // fresh block or spending the budget: B is swept and serves the slot.
-    let next = alloc(&mut space, &mut heap, 16);
-    assert_eq!(next, b + 16, "B's never-used tail serves the request");
-    assert_eq!(heap.pending_sweep_blocks(), 0);
-    assert_eq!(heap.lazy_sweep_totals().blocks_swept, 2);
-    assert_eq!(heap.object_containing(other), Some(other_obj));
-    assert_eq!(heap.block(a_id).unwrap().live_objects(), 1);
 }
 
 #[test]
@@ -156,7 +121,7 @@ fn growth_at_the_top_of_the_space_fills_what_fits_then_fails() {
 
 #[test]
 fn sizes_near_four_gib_are_out_of_memory_in_every_build() {
-    let (mut space, mut heap) = setup(64);
+    let (mut space, mut heap) = setup();
     alloc(&mut space, &mut heap, 8);
     let before = heap.stats();
     // 0xFFFF_FFFC still rounds to a granule; rounded up, the three sizes
@@ -180,7 +145,7 @@ fn sizes_near_four_gib_are_out_of_memory_in_every_build() {
 
 #[test]
 fn a_new_heap_reserves_no_page_entries() {
-    let (_, heap) = setup(64);
+    let (_, heap) = setup();
     assert_eq!(heap.page_table_pages(), 0);
     assert_eq!(heap.page_table_bytes(), 0);
 }
@@ -285,7 +250,7 @@ fn the_page_table_resolves_only_heap_pages_across_a_jump() {
 #[test]
 #[should_panic]
 fn writing_a_page_below_the_base_fails_loudly() {
-    let (mut space, mut heap) = setup(64);
+    let (mut space, mut heap) = setup();
     alloc(&mut space, &mut heap, 8);
     let below = PageIdx::new(Addr::new(0x0003_0000).page().raw() - 1);
     heap.page_table.set(below, BlockId(0));
@@ -351,7 +316,7 @@ fn writes_outside_the_heap_leave_the_dirty_set_alone() {
 
 #[test]
 fn dirty_pages_come_out_ascending_and_counted_exactly() {
-    let (mut space, mut heap) = setup(64);
+    let (mut space, mut heap) = setup();
     while heap.stats().mapped_pages < 64 {
         alloc(&mut space, &mut heap, 5000);
     }
@@ -370,7 +335,7 @@ fn dirty_pages_come_out_ascending_and_counted_exactly() {
 
 #[test]
 fn the_dirty_bit_survives_release_and_reuse_without_an_epoch_bump() {
-    let (mut space, mut heap) = setup(64);
+    let (mut space, mut heap) = setup();
     let a = alloc(&mut space, &mut heap, 8);
     let other = alloc(&mut space, &mut heap, 5000);
     let epoch = heap.page_table.epoch;

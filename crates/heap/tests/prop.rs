@@ -16,7 +16,6 @@ fn heap(policy: FreeListPolicy) -> (AddressSpace, Heap) {
         max_heap_bytes: 64 << 20,
         growth_pages: 16,
         freelist_policy: policy,
-        ..HeapConfig::default()
     });
     (space, heap)
 }
@@ -101,6 +100,9 @@ struct SweepOutcome {
     freed_with_block: u64,
     live: u64,
     promoted: u64,
+    /// Of `promoted`, the survivors of large blocks, which even a lazy
+    /// sweep tenures at once.
+    promoted_large: u64,
     blocks: BTreeMap<u32, Option<SlotBits>>,
 }
 
@@ -130,6 +132,9 @@ fn reference_sweep(heap: &Heap, minor: bool) -> SweepOutcome {
                 if marked && !old {
                     bits.old[slot as usize] = true;
                     out.promoted += 1;
+                    if matches!(block.shape(), BlockShape::Large { .. }) {
+                        out.promoted_large += 1;
+                    }
                 }
             } else {
                 bits.allocated[slot as usize] = false;
@@ -148,34 +153,30 @@ fn reference_sweep(heap: &Heap, minor: bool) -> SweepOutcome {
     out
 }
 
-/// The free slot addresses of the realized (not pending) small blocks of
-/// one (size class, kind), and those blocks' base addresses.
-fn realized_free_slots(
-    heap: &Heap,
-    class: SizeClass,
-    kind: ObjectKind,
-) -> (Vec<u32>, HashSet<u32>) {
+/// The free slot addresses of the small blocks of one (size class, kind),
+/// and those blocks' base addresses. A slot is free when no live object
+/// holds it, so a pending block's condemned slots count as free.
+fn free_slots(heap: &Heap, class: SizeClass, kind: ObjectKind) -> (Vec<u32>, HashSet<u32>) {
     let mut free = Vec::new();
     let mut bases = HashSet::new();
     for b in heap.blocks() {
         let small = matches!(b.shape(), BlockShape::Small { class: c } if *c == class);
-        if small && b.kind() == kind && !b.is_pending_sweep() {
+        if small && b.kind() == kind {
             bases.insert(b.base().raw());
-            let slots = (0..b.slots()).filter(|&s| !b.is_allocated(s));
-            free.extend(slots.map(|s| b.slot_base(s).raw()));
+            let slots = (0..b.slots()).map(|s| b.slot_base(s));
+            let slots = slots.filter(|&a| heap.object_containing(a).is_none());
+            free.extend(slots.map(Addr::raw));
         }
     }
     (free, bases)
 }
 
 /// Allocates `bytes` of `kind` and checks the address-ordered policy's
-/// allocation order, through public block accessors only. For a small
-/// object:
-/// - afterwards, no realized block of its (size class, kind) holds a free
-///   slot below the returned address;
-/// - its slot comes from a block that was realized before the call,
-///   unless no such block had a free slot (so the allocator took a fresh
-///   block, or one its lazy slow path just swept).
+/// allocation order, through public accessors only. For a small object:
+/// - afterwards, no block of its (size class, kind) holds a free slot
+///   below the returned address;
+/// - its slot comes from a block that existed before the call, unless no
+///   such block had a free slot (so the allocator took a fresh block).
 fn alloc_lowest_free(
     heap: &mut Heap,
     space: &mut AddressSpace,
@@ -183,20 +184,17 @@ fn alloc_lowest_free(
     kind: ObjectKind,
 ) -> Addr {
     let class = SizeClass::for_bytes(bytes);
-    let before = class.map(|c| realized_free_slots(heap, c, kind));
+    let before = class.map(|c| free_slots(heap, c, kind));
     let addr = heap.alloc(space, bytes, kind, &mut accept_all).unwrap();
-    if let (Some(class), Some((free_before, realized_before))) = (class, before) {
-        let (free_after, _) = realized_free_slots(heap, class, kind);
+    if let (Some(class), Some((free_before, blocks_before))) = (class, before) {
+        let (free_after, _) = free_slots(heap, class, kind);
         let below: Vec<u32> = free_after.into_iter().filter(|&a| a < addr.raw()).collect();
-        assert!(
-            below.is_empty(),
-            "{addr}: realized free slots below it: {below:x?}"
-        );
+        assert!(below.is_empty(), "{addr}: free slots below it: {below:x?}");
         // A small block is one page.
         let block = addr.page().base().raw();
         assert!(
-            realized_before.contains(&block) || free_before.is_empty(),
-            "{addr}: new block while realized slots were free: {free_before:x?}"
+            blocks_before.contains(&block) || free_before.is_empty(),
+            "{addr}: new block while slots were free: {free_before:x?}"
         );
     }
     addr
@@ -348,10 +346,11 @@ proptest! {
     }
 
     /// A random trace swept lazily is indistinguishable from the same
-    /// trace swept eagerly: identical snapshot accounting, identical
-    /// liveness at every point — including while blocks are still pending
-    /// and after a *partial* drain via the allocation slow path — and an
-    /// identical settled heap once the deferred work is realized.
+    /// trace swept eagerly: identical snapshot accounting, every object at
+    /// the same address, identical liveness at every point — including
+    /// while blocks are still pending and after a *partial* drain by the
+    /// allocator — and an identical settled heap, page geometry included,
+    /// once the deferred work is realized.
     #[test]
     fn lazy_sweep_is_equivalent_to_eager(
         rounds in proptest::collection::vec(
@@ -362,33 +361,19 @@ proptest! {
             1..4,
         ),
         drain in 0usize..8,
-        budget in 1u32..5,
     ) {
-        let build = |sweep_budget| {
-            let space = AddressSpace::new(Endian::Big);
-            let heap = Heap::new(HeapConfig {
-                heap_base: Addr::new(0x10_0000),
-                max_heap_bytes: 64 << 20,
-                growth_pages: 16,
-                sweep_budget,
-                ..HeapConfig::default()
-            });
-            (space, heap)
-        };
-        let (mut es, mut eager) = build(64);
-        let (mut ls, mut lazy) = build(budget);
-        // Parallel handle vectors: index i is the same logical object in
-        // both heaps (addresses may legitimately diverge once demand-order
-        // free-list rebuilding kicks in).
-        let mut handles: Vec<(Addr, Addr)> = Vec::new();
+        let (mut es, mut eager) = heap(FreeListPolicy::AddressOrdered);
+        let (mut ls, mut lazy) = heap(FreeListPolicy::AddressOrdered);
+        let mut handles: Vec<Addr> = Vec::new();
         for (allocs, mark_seed) in rounds {
             for (bytes, atomic) in allocs {
                 let kind = if atomic { ObjectKind::Atomic } else { ObjectKind::Composite };
                 let e = eager.alloc(&mut es, bytes, kind, &mut accept_all).unwrap();
                 let l = lazy.alloc(&mut ls, bytes, kind, &mut accept_all).unwrap();
-                handles.push((e, l));
+                prop_assert_eq!(e, l, "both heaps place the object alike");
+                handles.push(l);
             }
-            // Mark the same logical subset in both heaps.
+            // Mark the same subset in both heaps.
             eager.clear_marks();
             lazy.clear_marks();
             let survives = |i: usize| {
@@ -397,65 +382,57 @@ proptest! {
                     .is_multiple_of(2)
             };
             let mut survivors = Vec::new();
-            for (i, &(e, l)) in handles.iter().enumerate() {
+            for (i, &a) in handles.iter().enumerate() {
                 if survives(i) {
-                    let eo = eager.object_containing(e).expect("tracked object");
-                    eager.set_marked(eo);
-                    let lo = lazy.object_containing(l).expect("tracked object");
-                    lazy.set_marked(lo);
-                    survivors.push((e, l));
+                    for heap in [&mut eager, &mut lazy] {
+                        let obj = heap.object_containing(a).expect("tracked object");
+                        heap.set_marked(obj);
+                    }
+                    survivors.push(a);
                 }
             }
             let se = eager.sweep(false);
             let sl = lazy.sweep_lazy(false);
             // The lazy snapshot reports the identical reclamation up
-            // front; only the block-release work differs until realized.
+            // front.
             prop_assert_eq!(se.objects_freed, sl.objects_freed);
             prop_assert_eq!(se.bytes_freed, sl.bytes_freed);
             prop_assert_eq!(se.objects_live, sl.objects_live);
             prop_assert_eq!(se.bytes_live, sl.bytes_live);
             prop_assert_eq!(se.objects_promoted, sl.objects_promoted);
             prop_assert_eq!(se.bytes_promoted, sl.bytes_promoted);
-            prop_assert_eq!(eager.stats().bytes_live, lazy.stats().bytes_live);
+            prop_assert_eq!(se.blocks_released, sl.blocks_released);
+            prop_assert_eq!(eager.stats(), lazy.stats());
             handles = survivors;
             // Liveness views agree while blocks are pending, and the lazy
             // heap's censuses stay self-consistent.
             check_lazy_census_consistency(&lazy);
-            for &(e, l) in &handles {
-                prop_assert!(eager.object_containing(e).is_some());
-                prop_assert!(lazy.object_containing(l).is_some());
+            for &a in &handles {
+                prop_assert!(eager.object_containing(a).is_some());
+                prop_assert!(lazy.object_containing(a).is_some());
             }
-            // Partially drain the pending queue through the slow path —
-            // the same allocations land in the eager heap so the traces
-            // stay identical.
+            // Partially drain the pending blocks through allocation, the
+            // same allocations landing in the eager heap.
             for _ in 0..drain {
                 let e = eager.alloc(&mut es, 16, ObjectKind::Composite, &mut accept_all).unwrap();
                 let l = lazy.alloc(&mut ls, 16, ObjectKind::Composite, &mut accept_all).unwrap();
-                handles.push((e, l));
+                prop_assert_eq!(e, l, "both heaps place the object alike");
+                handles.push(l);
             }
             check_lazy_census_consistency(&lazy);
         }
-        // Realizing the leftovers settles the lazy heap. Page/block
-        // geometry (mapped pages, block count, free runs) legitimately
-        // diverges once free-list rebuild order differs — equivalence is
-        // about the objects and the accounting, not object placement.
+        // Realizing the leftovers settles the lazy heap into the eager
+        // one: mapped pages, block count, free runs and accounting.
         lazy.finish_sweep();
         prop_assert_eq!(lazy.pending_sweep_blocks(), 0);
-        let (e, l) = (eager.stats(), lazy.stats());
-        prop_assert_eq!(e.bytes_live, l.bytes_live);
-        prop_assert_eq!(e.bytes_allocated_total, l.bytes_allocated_total);
+        prop_assert_eq!(eager.stats(), lazy.stats());
         check_lazy_census_consistency(&lazy);
-        let eager_sizes: Vec<u32> = {
-            let mut v: Vec<u32> = eager.live_objects().map(|o| o.bytes).collect();
+        let live = |heap: &Heap| {
+            let mut v: Vec<(u32, u32)> = heap.live_objects().map(|o| (o.base.raw(), o.bytes)).collect();
             v.sort_unstable();
             v
         };
-        let lazy_sizes: Vec<u32> = {
-            let mut v: Vec<u32> = lazy.live_objects().map(|o| o.bytes).collect();
-            v.sort_unstable();
-            v
-        };
-        prop_assert_eq!(eager_sizes, lazy_sizes);
+        prop_assert_eq!(live(&eager), live(&lazy));
     }
 
     /// `Heap::stats()` answers from incrementally maintained counters;
@@ -475,7 +452,6 @@ proptest! {
             max_heap_bytes: 64 << 20,
             growth_pages: 16,
             freelist_policy: policy,
-            sweep_budget: 2,
         });
         let mut live: Vec<Addr> = Vec::new();
         for op in ops {
@@ -509,8 +485,8 @@ proptest! {
 
     /// The address-ordered policy's allocation-order oracle, checked
     /// after every small allocation of a trace with explicit frees, full
-    /// and minor collections swept eagerly or lazily at budgets 1–4, and
-    /// partial drains that leave blocks pending (see
+    /// and minor collections swept eagerly or lazily, and partial drains
+    /// that leave blocks pending (see
     /// [`alloc_lowest_free`]).
     #[test]
     fn allocation_takes_the_lowest_free_slot(
@@ -524,7 +500,6 @@ proptest! {
             1..4,
         ),
         drain in 0usize..8,
-        budget in 1u32..5,
         lazy: bool,
     ) {
         let mut space = AddressSpace::new(Endian::Big);
@@ -532,7 +507,6 @@ proptest! {
             heap_base: Addr::new(0x10_0000),
             max_heap_bytes: 64 << 20,
             growth_pages: 16,
-            sweep_budget: budget,
             ..HeapConfig::default()
         });
         let mut live: Vec<Addr> = Vec::new();
@@ -628,8 +602,8 @@ proptest! {
                 (want.freed, want.live, want.promoted)
             );
             if lazy {
-                // The snapshot releases blocks with no survivor; the
-                // deferred sweep frees the rest.
+                // The snapshot releases blocks with no survivor and sweeps
+                // large blocks; the deferred sweep frees the rest.
                 let before = heap.lazy_sweep_totals();
                 heap.finish_sweep();
                 let after = heap.lazy_sweep_totals();
@@ -637,7 +611,10 @@ proptest! {
                     after.objects_freed - before.objects_freed,
                     want.freed - want.freed_with_block
                 );
-                prop_assert_eq!(after.objects_promoted - before.objects_promoted, want.promoted);
+                prop_assert_eq!(
+                    after.objects_promoted - before.objects_promoted,
+                    want.promoted - want.promoted_large
+                );
             }
             let got: BTreeMap<u32, SlotBits> = heap
                 .blocks()
@@ -946,7 +923,6 @@ proptest! {
             max_heap_bytes: EDGE_LIMITS[limit],
             growth_pages: 4,
             freelist_policy: if lifo { FreeListPolicy::Lifo } else { FreeListPolicy::AddressOrdered },
-            sweep_budget: 1,
         });
         let offered = Cell::new(0u32);
         let mut pred = |_: PageIdx, _: PageUse| {

@@ -44,17 +44,17 @@ enum Mode {
 }
 
 /// Recorded digests: `(mode, seed, digest)`. The two lazy-sweep modes
-/// were re-recorded when lazy snapshots began releasing empty blocks: their
-/// runs then match the same modes swept eagerly in everything but the
-/// `LazySweep` batches, slow-path and pause samples, and the sweep's
-/// `blocks_released`/`blocks_deferred` split.
+/// were last re-recorded when a pending block began waiting in its
+/// address-ordered free list and large blocks began to be swept in the
+/// pause: their runs match the same modes swept eagerly in everything but
+/// the `LazySweep` batches and the sweep's `blocks_deferred`.
 const GOLDEN: [(Mode, u64, u64); 6] = [
     (Mode::StopTheWorld, 5, 0xd737_7c6a_07aa_b91b),
     (Mode::StopTheWorld, 29, 0x091c_7dd4_3466_2cdc),
-    (Mode::Generational, 5, 0x992c_71b0_71ea_c521),
-    (Mode::Generational, 29, 0x71ab_affd_f442_da67),
-    (Mode::Incremental, 5, 0x445e_1024_c2d0_85b2),
-    (Mode::Incremental, 29, 0x8a8e_a7e1_1acc_1789),
+    (Mode::Generational, 5, 0x2b3c_8601_af81_b508),
+    (Mode::Generational, 29, 0x91fa_87a6_b3ee_5601),
+    (Mode::Incremental, 5, 0x13a6_b944_5abf_232d),
+    (Mode::Incremental, 29, 0xd415_b881_a680_0679),
 ];
 
 /// 64-bit FNV-1a of the `Debug` form of `value`.
