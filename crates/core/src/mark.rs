@@ -75,6 +75,9 @@ impl MarkOutcome {
 ///   costs one field test and no page lookup;
 /// * the short-object guard — objects under one word (`bytes < 4`) scan
 ///   zero words, typed or not;
+/// * the untyped scan — a candidate at every `1 << stride_shift`-th byte
+///   offset (the stride is 1, 2 or 4 bytes), so the word count is a
+///   shift and the loop walks it with no division;
 /// * the early stop — descriptor offsets ascend (guaranteed by
 ///   [`Descriptor::pointer_offsets`](gc_heap::Descriptor::pointer_offsets)),
 ///   so the first offset past the object's end proves no later one fits.
@@ -95,7 +98,7 @@ pub(crate) fn scan_object_fields(
     space: &AddressSpace,
     heap: &Heap,
     endian: Endian,
-    stride: usize,
+    stride_shift: u32,
     obj: ObjRef,
     hint: &mut SegmentHint,
     mut consider: impl FnMut(u32),
@@ -120,11 +123,12 @@ pub(crate) fn scan_object_fields(
     }
     // The word count is the loop's trip count; computing it up front keeps
     // a counter increment out of the hot scan loop.
-    let words = ((bytes.len() - 4) / stride + 1) as u64;
-    for off in (0..=bytes.len() - 4).step_by(stride) {
+    let words = ((bytes.len() - 4) >> stride_shift) + 1;
+    for i in 0..words {
+        let off = i << stride_shift;
         consider(endian.read_u32(&bytes[off..off + 4]));
     }
-    words
+    words as u64
 }
 
 /// One mark phase over a frozen address space.
@@ -145,6 +149,8 @@ pub(crate) struct Marker<'a> {
     blacklist: &'a mut Blacklist,
     config: &'a GcConfig,
     endian: Endian,
+    /// log2 of the scan stride, read once from the configuration.
+    stride_shift: u32,
     /// Vicinity of the heap: `[vic_lo, vic_hi)` as 64-bit bounds.
     vic_lo: u64,
     vic_hi: u64,
@@ -199,6 +205,7 @@ impl<'a> Marker<'a> {
             blacklist,
             config,
             endian,
+            stride_shift: config.scan_alignment.stride().trailing_zeros(),
             vic_lo: u64::from(lo.raw()),
             vic_hi: hi.min(1 << 32),
             stack: Vec::new(),
@@ -414,12 +421,58 @@ impl<'a> Marker<'a> {
     #[inline]
     fn scan(&mut self, obj: ObjRef) {
         let (space, heap, endian) = (self.space, self.heap, self.endian);
-        let stride = self.config.scan_alignment.stride() as usize;
+        let shift = self.stride_shift;
         let mut hint = self.hint;
-        let words = scan_object_fields(space, heap, endian, stride, obj, &mut hint, |v| {
+        let words = scan_object_fields(space, heap, endian, shift, obj, &mut hint, |v| {
             self.consider(v, RootClass::Heap);
         });
         self.hint = hint;
         self.out.heap_words += words;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gc_heap::HeapConfig;
+
+    #[test]
+    fn scan_reads_the_words_of_a_step_by_reference() {
+        const LARGE: u32 = 3 * PAGE_BYTES + 8;
+        let endian = Endian::Big;
+        let mut space = AddressSpace::new(endian);
+        let mut heap = Heap::new(HeapConfig {
+            heap_base: Addr::new(0x10_0000),
+            ..HeapConfig::default()
+        });
+        let base = heap
+            .alloc(&mut space, LARGE, ObjectKind::Composite, &mut |_, _| true)
+            .unwrap();
+        let fill: Vec<u8> = (0..LARGE).map(|i| (i * 37 % 251) as u8).collect();
+        space.write_bytes(base, &fill).unwrap();
+        // An untyped object: the shorter extents below scan a prefix of it.
+        let whole = heap.object_containing(base).unwrap();
+        for stride_shift in 0..=2 {
+            let stride = 1 << stride_shift;
+            for bytes in (0..=64).chain([LARGE]) {
+                let data = &fill[..bytes as usize];
+                let want: Vec<u32> = match data.len().checked_sub(4) {
+                    Some(last) => (0..=last)
+                        .step_by(stride)
+                        .map(|off| endian.read_u32(&data[off..off + 4]))
+                        .collect(),
+                    None => Vec::new(),
+                };
+                let obj = ObjRef { bytes, ..whole };
+                let mut got = Vec::new();
+                let mut hint = SegmentHint::new();
+                let words =
+                    scan_object_fields(&space, &heap, endian, stride_shift, obj, &mut hint, |v| {
+                        got.push(v);
+                    });
+                assert_eq!(got, want, "stride {stride}, {bytes} bytes");
+                assert_eq!(words, want.len() as u64, "stride {stride}, {bytes} bytes");
+            }
+        }
     }
 }

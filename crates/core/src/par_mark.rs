@@ -60,7 +60,8 @@ struct Shared<'a> {
     heap: &'a Heap,
     endian: Endian,
     policy: PointerPolicy,
-    stride: usize,
+    /// log2 of the scan stride, read once for every worker.
+    stride_shift: u32,
     blacklisting: bool,
     vic_lo: u64,
     vic_hi: u64,
@@ -109,7 +110,7 @@ pub(crate) fn par_drain(
         heap,
         endian: space.endian(),
         policy: config.pointer_policy,
-        stride: config.scan_alignment.stride() as usize,
+        stride_shift: config.scan_alignment.stride().trailing_zeros(),
         blacklisting: config.blacklisting,
         vic_lo: vicinity.0,
         vic_hi: vicinity.1,
@@ -264,7 +265,7 @@ fn scan_object(
         shared.space,
         shared.heap,
         shared.endian,
-        shared.stride,
+        shared.stride_shift,
         obj,
         hint,
         |value| consider(shared, value, local, res, cache),

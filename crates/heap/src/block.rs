@@ -82,6 +82,17 @@ pub struct Block {
     pub(crate) base: Addr,
     pub(crate) npages: u32,
     pub(crate) shape: BlockShape,
+    /// Resolve constants, fixed at creation (the shape stays the source of
+    /// truth): the object size, the slot count, and `span`, the bytes the
+    /// slots cover (the page less its trailing waste, or a large object's
+    /// granule-rounded size).
+    obj_bytes: u32,
+    slots: u32,
+    span: u32,
+    /// `ceil(2^32 / obj_bytes)` for a small block, 0 for a large one:
+    /// bdwgc's inverse object size (`hb_inv_sz`), so an offset's slot is a
+    /// multiply and a shift (see [`slot_containing`](Self::slot_containing)).
+    inv: u32,
     pub(crate) kind: ObjectKind,
     pub(crate) allocated: Bitmap,
     /// Mark bits. Atomic so parallel mark workers can test-and-set through
@@ -148,12 +159,16 @@ impl SlotFates {
 
 impl Block {
     pub(crate) fn new_small(id: BlockId, base: Addr, class: SizeClass, kind: ObjectKind) -> Self {
-        let n = class.objects_per_page();
+        let (obj_bytes, n) = (class.bytes(), class.objects_per_page());
         Block {
             id,
             base,
             npages: 1,
             shape: BlockShape::Small { class },
+            obj_bytes,
+            slots: n,
+            span: n * obj_bytes,
+            inv: (1u64 << 32).div_ceil(u64::from(obj_bytes)) as u32,
             kind,
             allocated: Bitmap::new(n),
             marked: AtomicBitmap::new(n),
@@ -172,6 +187,10 @@ impl Block {
             base,
             npages: obj_bytes.div_ceil(PAGE_BYTES),
             shape: BlockShape::Large { obj_bytes },
+            obj_bytes,
+            slots: 1,
+            span: obj_bytes,
+            inv: 0,
             kind,
             allocated: Bitmap::new(1),
             marked: AtomicBitmap::new(1),
@@ -277,19 +296,13 @@ impl Block {
     /// Object size in bytes for every slot of this block.
     #[inline]
     pub fn obj_bytes(&self) -> u32 {
-        match self.shape {
-            BlockShape::Small { class } => class.bytes(),
-            BlockShape::Large { obj_bytes } => obj_bytes,
-        }
+        self.obj_bytes
     }
 
     /// Number of object slots in the block.
     #[inline]
     pub fn slots(&self) -> u32 {
-        match self.shape {
-            BlockShape::Small { class } => class.objects_per_page(),
-            BlockShape::Large { .. } => 1,
-        }
+        self.slots
     }
 
     /// Number of live (allocated) objects in the block.
@@ -304,8 +317,8 @@ impl Block {
     /// Panics if `index >= slots()`.
     #[inline]
     pub fn slot_base(&self, index: u32) -> Addr {
-        assert!(index < self.slots(), "slot index out of range");
-        self.base + index * self.obj_bytes()
+        assert!(index < self.slots, "slot index out of range");
+        self.base + index * self.obj_bytes
     }
 
     /// A reference to the object in slot `index`.
@@ -325,19 +338,19 @@ impl Block {
     /// Returns `None` for addresses in the block's trailing waste (the
     /// unused remainder when the object size does not divide the page) or
     /// past a large object's granule-rounded end.
+    ///
+    /// Divides by no runtime value: an address below the base wraps to an
+    /// offset past `span` (the heap never maps the top page, so a block's
+    /// end fits in 32 bits), and the slot is `(off * inv) >> 32`. That is
+    /// exactly `off / obj_bytes` whenever the rounding error
+    /// `off * (inv * obj_bytes - 2^32)` is below 2^32; a small block's `off`
+    /// is below 4096 and `inv * obj_bytes - 2^32` below `obj_bytes` (at most
+    /// 2048), so the error stays under 2^23. A unit test checks every
+    /// offset of every class. A large block's `inv` of 0 gives slot 0.
     #[inline]
     pub fn slot_containing(&self, addr: Addr) -> Option<u32> {
-        if addr < self.base {
-            return None;
-        }
-        let off = addr - self.base;
-        match self.shape {
-            BlockShape::Small { class } => {
-                let idx = off / class.bytes();
-                (idx < class.objects_per_page()).then_some(idx)
-            }
-            BlockShape::Large { obj_bytes } => (off < obj_bytes).then_some(0),
-        }
+        let off = addr.raw().wrapping_sub(self.base.raw());
+        (off < self.span).then(|| ((u64::from(off) * u64::from(self.inv)) >> 32) as u32)
     }
 
     /// Is slot `index` currently allocated?
@@ -358,17 +371,6 @@ impl Block {
     /// Returns `true` if the block contains no live objects.
     pub fn is_unused(&self) -> bool {
         self.allocated.count_ones() == 0
-    }
-
-    /// Is the block awaiting a deferred (lazy) sweep?
-    ///
-    /// A pending block's allocation bits still include the objects the last
-    /// collection condemned; use [`Heap::live_objects_in`] rather than
-    /// [`live_objects`](Self::live_objects) to count survivors exactly.
-    ///
-    /// [`Heap::live_objects_in`]: crate::Heap::live_objects_in
-    pub fn is_pending_sweep(&self) -> bool {
-        self.pending
     }
 }
 
@@ -424,6 +426,42 @@ mod tests {
         assert_eq!(b.slot_containing(Addr::new(0x20000 + 9_999)), Some(0));
         // Granule-rounded end: past the object, inside the last page.
         assert_eq!(b.slot_containing(Addr::new(0x20000 + 10_000)), None);
+    }
+
+    #[test]
+    fn slot_containing_matches_division() {
+        // The lowest and the highest page the heap can map: the top page of
+        // the 32-bit space is never mapped.
+        for base in [0x1000, u32::MAX - 2 * PAGE_BYTES + 1] {
+            for class in SizeClass::all() {
+                let b = Block::new_small(BlockId(0), Addr::new(base), class, ObjectKind::Composite);
+                let d = class.bytes();
+                assert_eq!(b.slot_containing(Addr::new(base - 1)), None, "{class}");
+                for off in 0..PAGE_BYTES {
+                    let want = (off / d < class.objects_per_page()).then_some(off / d);
+                    let got = b.slot_containing(Addr::new(base + off));
+                    assert_eq!(got, want, "{class} +{off}");
+                }
+            }
+        }
+        let base = Addr::new(0x10_0000);
+        for bytes in [
+            crate::MAX_SMALL_BYTES + GRANULE_BYTES,
+            4096,
+            10_000,
+            1 << 20,
+        ] {
+            let b = Block::new_large(BlockId(0), base, bytes, ObjectKind::Composite);
+            let (d, end) = (b.obj_bytes(), b.npages() * PAGE_BYTES);
+            let at = |off: u32| b.slot_containing(base + off);
+            assert_eq!(b.slot_containing(base - 1), None, "{bytes}");
+            assert_eq!(
+                [at(0), at(d - 1), at(d)],
+                [Some(0), Some(0), None],
+                "{bytes}"
+            );
+            assert_eq!(at(end - 1), (end == d).then_some(0), "{bytes}");
+        }
     }
 
     #[test]

@@ -20,8 +20,10 @@ const CLASS_GRANULES: [u32; 18] = [
     1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512,
 ];
 
-/// Objects per page of each class, so that resolving a candidate (the
-/// mark phase's hot path) divides only once, by the object size.
+/// Objects per page of each class, read when a block is created. The block
+/// keeps its own resolve constants (slot count, covered span and inverse
+/// object size), so resolving a candidate, the mark phase's hot path,
+/// divides by nothing.
 const CLASS_SLOTS: [u32; CLASS_GRANULES.len()] = {
     let mut slots = [0; CLASS_GRANULES.len()];
     let mut i = 0;
