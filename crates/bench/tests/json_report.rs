@@ -24,11 +24,7 @@ fn gcbench_json_report_is_complete_and_consistent() {
         .args(["--json", out_path.to_str().expect("utf-8 temp path")])
         // The collector's defaults read no environment, so these must not
         // reach any snapshot's configuration.
-        .envs([
-            ("GC_MARK_THREADS", "4"),
-            ("GC_LAZY_SWEEP", "1"),
-            ("GC_RESOLVE_CACHE", "0"),
-        ])
+        .envs([("GC_MARK_THREADS", "4"), ("GC_LAZY_SWEEP", "1")])
         .status()
         .expect("gcbench runs");
     assert!(status.success(), "gcbench exits cleanly");
@@ -73,18 +69,13 @@ fn gcbench_json_report_is_complete_and_consistent() {
 
     // Every snapshot's config keeps the defaults whatever the environment
     // says.
-    for key in [
-        "\"mark_threads\":1,",
-        "\"lazy_sweep\":false,",
-        "\"resolve_cache\":true",
-    ] {
+    for key in ["\"mark_threads\":1,", "\"lazy_sweep\":false}"] {
         assert_eq!(
             json.matches(key).count(),
             snapshots,
             "{key} in every config"
         );
     }
-    assert!(!json.contains("\"resolve_cache\":false"));
 
     // Phase-sum invariant: every last-collection record's phases fit in
     // its recorded total duration.

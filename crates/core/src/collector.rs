@@ -8,8 +8,8 @@ use crate::{
     GcError, GcStats, MarkWorkerStats, ParallelMarkStats, Retainer, RootClass, MAX_MARK_THREADS,
 };
 use gc_heap::{
-    Descriptor, DescriptorId, Heap, HeapError, LazySweepStats, ObjRef, ObjectKind,
-    PageResolveCache, PageUse, SweepStats,
+    Descriptor, DescriptorId, Heap, HeapError, LazySweepStats, ObjRef, ObjectKind, PageUse,
+    SweepStats,
 };
 use gc_vmspace::{Addr, AddressSpace, PageIdx, PAGE_BYTES};
 use std::collections::HashMap;
@@ -103,9 +103,6 @@ struct Cycle {
 struct IncState {
     cycle: Cycle,
     stack: Vec<ObjRef>,
-    /// The page-resolve cache, carried from increment to increment and
-    /// into the finish so each marker starts warm.
-    cache: Option<PageResolveCache>,
     out: MarkOutcome,
     /// Phase time accumulated across the cycle's increments so far.
     phases: PhaseTimes,
@@ -542,8 +539,7 @@ impl Collector {
                 let state = IncState {
                     cycle,
                     stack: marker.take_stack(),
-                    out: marker.outcome(),
-                    cache: marker.take_cache(),
+                    out: marker.out,
                     phases: PhaseTimes {
                         root_scan: cycle.started.elapsed(),
                         ..PhaseTimes::default()
@@ -556,11 +552,9 @@ impl Collector {
                 let mut marker =
                     Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
                 marker.set_stack(std::mem::take(&mut state.stack));
-                marker.set_cache(state.cache.take());
                 let done = marker.drain_budget(self.config.incremental_budget);
                 state.stack = marker.take_stack();
-                state.out.merge(marker.outcome());
-                state.cache = marker.take_cache();
+                state.out.merge(marker.out);
                 state.phases.mark += t0.elapsed();
                 (state, t0, done)
             }
@@ -577,10 +571,9 @@ impl Collector {
         // tracing the increments started.
         let t0 = Instant::now();
         let mut marker = Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
-        marker.set_cache(state.cache.take());
         marker.scan_dirty_pages(true);
         marker.run();
-        state.out.merge(marker.outcome());
+        state.out.merge(marker.out);
         state.phases.mark += t0.elapsed();
         Some(self.finish_cycle(state.cycle, state.out, state.phases, None, Some(t0)))
     }
@@ -657,7 +650,7 @@ impl Collector {
                 }
                 let seeds = marker.take_stack();
                 let vicinity = marker.vicinity();
-                acc = marker.outcome();
+                acc = marker.out;
                 drop(marker);
                 let par = par_mark::par_drain(
                     &self.space,
@@ -683,13 +676,13 @@ impl Collector {
                 // serial one. In the latter case the drain is still
                 // reported as one parallel worker so telemetry keeps its
                 // shape across machines.
-                let before = marker.outcome();
+                let before = marker.out;
                 let t_drain = Instant::now();
                 marker.drain_all();
                 if minor {
                     marker.scan_dirty_pages(true);
                 }
-                acc = marker.outcome();
+                acc = marker.out;
                 if self.config.mark_threads > 1 {
                     workers.push(MarkWorkerStats {
                         objects_marked: acc.objects_marked - before.objects_marked,
@@ -746,7 +739,7 @@ impl Collector {
         for &addr in &doomed {
             marker.mark_object(addr);
         }
-        out.merge(marker.outcome());
+        out.merge(marker.out);
         self.clear_dead_links(minor);
         phases.finalize = t_phase.elapsed();
         let t_phase = Instant::now();
@@ -775,8 +768,8 @@ impl Collector {
             blacklist_pages: self.blacklist.len(),
             objects_marked: out.objects_marked,
             bytes_marked: out.bytes_marked,
-            resolve_hits: out.resolve_hits,
-            resolve_misses: out.resolve_misses,
+            resolve_hits: 0,
+            resolve_misses: 0,
             finalizers_ready: doomed.len() as u32,
             fast_path_allocs,
             slow_path_allocs,
@@ -824,8 +817,6 @@ impl Collector {
             objects_marked: c.objects_marked,
             objects_freed: c.sweep.objects_freed,
             bytes_freed: c.sweep.bytes_freed,
-            resolve_hits: c.resolve_hits,
-            resolve_misses: c.resolve_misses,
         });
     }
 
@@ -1907,10 +1898,6 @@ mod incremental_tests {
     use gc_vmspace::{Endian, SegmentKind, SegmentSpec};
 
     fn inc_collector(budget: u32) -> Collector {
-        inc_collector_with(budget, |_| {})
-    }
-
-    fn inc_collector_with(budget: u32, tweak: impl FnOnce(&mut GcConfig)) -> Collector {
         let mut space = AddressSpace::new(Endian::Big);
         space
             .map(SegmentSpec::new(
@@ -1920,7 +1907,7 @@ mod incremental_tests {
                 4096,
             ))
             .unwrap();
-        let mut config = GcConfig {
+        let config = GcConfig {
             heap: HeapConfig {
                 heap_base: Addr::new(0x10_0000),
                 max_heap_bytes: 32 << 20,
@@ -1932,7 +1919,6 @@ mod incremental_tests {
             min_bytes_between_gcs: u64::MAX,
             ..GcConfig::default()
         };
-        tweak(&mut config);
         Collector::new(space, config)
     }
 
@@ -2038,27 +2024,6 @@ mod incremental_tests {
         assert!(
             !gc.is_live(b),
             "garbage reachable only from garbage on a dirty page is freed"
-        );
-    }
-
-    #[test]
-    fn resolve_cache_carries_across_increments() {
-        let mut gc = inc_collector_with(8, |c| c.resolve_cache = true);
-        build_chain(&mut gc, 2000);
-        let stats = run_cycle(&mut gc);
-        assert!(gc.stats().increments >= 10, "{}", gc.stats().increments);
-        // Each candidate is one lookup, counted once however many markers
-        // the carried cache passed through.
-        assert_eq!(
-            stats.resolve_hits + stats.resolve_misses,
-            stats.candidates_in_range
-        );
-        // A cold cache per increment would miss at least once each.
-        assert!(
-            stats.resolve_misses * 20 < stats.candidates_in_range,
-            "{} misses of {}",
-            stats.resolve_misses,
-            stats.candidates_in_range
         );
     }
 

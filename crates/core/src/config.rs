@@ -200,15 +200,11 @@ pub struct GcConfig {
     /// whole-heap analyses call first. Under the LIFO free-list policy the
     /// sweep always runs in the pause.
     pub lazy_sweep: bool,
-    /// Consult a small direct-mapped page → block resolve cache
-    /// ([`PageResolveCache`](gc_heap::PageResolveCache)) during candidate
-    /// resolution in the mark phase (one cache in the serial marker,
-    /// one per worker in a parallel drain). Bit-identical to the uncached
-    /// path — same mark set, counters, blacklist contents — the cache only
-    /// skips repeated page-table walks for same-page candidates; its
-    /// hit/miss counts are surfaced in
-    /// [`CollectionStats`](crate::CollectionStats) and the metrics
-    /// snapshot. On by default.
+    /// Has no effect: the mark phase resolves every candidate through the
+    /// heap's page table and keeps no lookup cache of its own. The field
+    /// remains only because the benchmark assigns it
+    /// (`perfbench/src/main.rs:96`, `perfbench/src/workloads.rs:397`); it
+    /// goes with the benchmark change of ROADMAP item 2.
     pub resolve_cache: bool,
     /// Spawn exactly [`mark_threads`](GcConfig::mark_threads) workers even
     /// when that exceeds the machine's available cores. Normally the
@@ -354,9 +350,6 @@ impl GcConfigBuilder {
         /// Enables lazy (allocation-driven) sweeping. See
         /// [`GcConfig::lazy_sweep`].
         lazy_sweep: bool,
-        /// Enables the mark-phase page-resolve cache. See
-        /// [`GcConfig::resolve_cache`].
-        resolve_cache: bool,
         /// Forces the exact worker count. See
         /// [`GcConfig::mark_threads_force`].
         mark_threads_force: bool,
@@ -411,7 +404,6 @@ mod tests {
         assert!(c.allow_atomic_on_blacklist);
         assert_eq!(c.mark_threads, 1, "serial marking, as in figure 2");
         assert!(!c.lazy_sweep, "eager sweep inside the pause");
-        assert!(c.resolve_cache);
     }
 
     #[test]

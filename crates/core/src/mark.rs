@@ -21,8 +21,8 @@
 //! allocation".
 
 use crate::{Blacklist, GcConfig, RootClass};
-use gc_heap::{Heap, MarkBit, MarkHit, ObjRef, ObjectKind, PageResolveCache};
-use gc_vmspace::{Addr, AddressSpace, Endian, Segment, SegmentHint, PAGE_BYTES};
+use gc_heap::{Heap, MarkBit, MarkHit, ObjRef, ObjectKind};
+use gc_vmspace::{Addr, AddressSpace, Endian, Segment, PAGE_BYTES};
 
 /// Counters produced by one mark phase.
 #[derive(Clone, Copy, Debug, Default)]
@@ -34,12 +34,6 @@ pub(crate) struct MarkOutcome {
     pub false_refs_near_heap: u64,
     pub objects_marked: u64,
     pub bytes_marked: u64,
-    /// Candidate resolutions answered by the page-resolve cache.
-    pub resolve_hits: u64,
-    /// Cached resolutions that had to walk the page table anyway (cold
-    /// entry, conflict eviction, or epoch flush). Both counters stay 0
-    /// with the cache disabled.
-    pub resolve_misses: u64,
 }
 
 impl MarkOutcome {
@@ -53,8 +47,6 @@ impl MarkOutcome {
         self.false_refs_near_heap += other.false_refs_near_heap;
         self.objects_marked += other.objects_marked;
         self.bytes_marked += other.bytes_marked;
-        self.resolve_hits += other.resolve_hits;
-        self.resolve_misses += other.resolve_misses;
     }
 }
 
@@ -86,10 +78,8 @@ impl MarkOutcome {
 /// offsets — which is possible everywhere because every caller holds the
 /// heap by shared reference during marking.
 ///
-/// The object's memory is fetched through the caller's [`SegmentHint`]
-/// rather than the address space's shared one-entry cache: each scan loop
-/// (the serial marker, every parallel worker) owns a private hint, so
-/// concurrent scans cannot evict each other's cached segment.
+/// The object's memory is fetched with [`AddressSpace::bytes_at`], whose
+/// segment lookup answers a heap object from its most-recently-used entry.
 ///
 /// Always inlined: a call per scanned object measurably slows the drain
 /// loops of Program T, whose objects are one word each.
@@ -100,11 +90,10 @@ pub(crate) fn scan_object_fields(
     endian: Endian,
     stride_shift: u32,
     obj: ObjRef,
-    hint: &mut SegmentHint,
     mut consider: impl FnMut(u32),
 ) -> u64 {
     let bytes = space
-        .bytes_at_hinted(obj.base, obj.bytes, hint)
+        .bytes_at(obj.base, obj.bytes)
         .expect("live object memory is mapped");
     if bytes.len() < 4 {
         return 0;
@@ -159,16 +148,6 @@ pub(crate) struct Marker<'a> {
     /// traced; the young reachable set is found from roots plus dirty old
     /// objects.
     minor: bool,
-    /// Page-resolve cache ([`GcConfig::resolve_cache`]); `None` = off.
-    cache: Option<PageResolveCache>,
-    /// The cache's cumulative (hits, misses) when this marker took it: a
-    /// cache carried across an incremental cycle's increments arrives warm
-    /// and already counted.
-    cache_base: (u64, u64),
-    /// Private segment hint for object scans (see
-    /// [`scan_object_fields`]) — keeps this marker's loops off the
-    /// address space's shared lookup cache.
-    hint: SegmentHint,
     pub(crate) out: MarkOutcome,
 }
 
@@ -210,38 +189,8 @@ impl<'a> Marker<'a> {
             vic_hi: hi.min(1 << 32),
             stack: Vec::new(),
             minor: false,
-            cache: config.resolve_cache.then(PageResolveCache::new),
-            cache_base: (0, 0),
-            hint: SegmentHint::new(),
             out: MarkOutcome::default(),
         }
-    }
-
-    /// The phase's counters with this marker's resolve-cache hits and
-    /// misses folded in — what the collector should read instead of `out`.
-    pub(crate) fn outcome(&self) -> MarkOutcome {
-        let mut out = self.out;
-        if let Some(cache) = &self.cache {
-            out.resolve_hits = cache.hits() - self.cache_base.0;
-            out.resolve_misses = cache.misses() - self.cache_base.1;
-        }
-        out
-    }
-
-    /// Resumes with a resolve cache an earlier marker of the same
-    /// incremental cycle surrendered ([`take_cache`](Marker::take_cache));
-    /// `None` (the cache is off) changes nothing. The cache's epoch check
-    /// makes it safe to carry across the mutator's allocations in between.
-    pub(crate) fn set_cache(&mut self, cache: Option<PageResolveCache>) {
-        if let Some(cache) = cache {
-            self.cache_base = (cache.hits(), cache.misses());
-            self.cache = Some(cache);
-        }
-    }
-
-    /// Surrenders the resolve cache (pausing an incremental cycle).
-    pub(crate) fn take_cache(&mut self) -> Option<PageResolveCache> {
-        self.cache.take()
     }
 
     /// Switches the marker to minor (young-only) mode.
@@ -339,11 +288,11 @@ impl<'a> Marker<'a> {
 
     /// Marks the live object containing `addr` and everything reachable
     /// from it (used to resurrect finalizable objects). Not a candidate:
-    /// no pointer policy, no resolve cache and no candidate counters.
+    /// no pointer policy and no candidate counters.
     pub(crate) fn mark_object(&mut self, addr: Addr) {
         let hit = self
             .heap
-            .mark_candidate(addr, None, self.minor, |_| true, MarkBit::Single);
+            .mark_candidate(addr, self.minor, |_| true, MarkBit::Single);
         if let MarkHit::Newly(obj) = hit {
             self.push_marked(obj);
         }
@@ -385,13 +334,10 @@ impl<'a> Marker<'a> {
         let addr = Addr::new(value);
         let policy = self.config.pointer_policy;
         let accept = |base| policy.accepts(addr, base);
-        match self.heap.mark_candidate(
-            addr,
-            self.cache.as_mut(),
-            self.minor,
-            accept,
-            MarkBit::Single,
-        ) {
+        match self
+            .heap
+            .mark_candidate(addr, self.minor, accept, MarkBit::Single)
+        {
             MarkHit::Invalid => {
                 // p is not a valid object address but is in the vicinity of
                 // the heap: blacklist it.
@@ -422,11 +368,9 @@ impl<'a> Marker<'a> {
     fn scan(&mut self, obj: ObjRef) {
         let (space, heap, endian) = (self.space, self.heap, self.endian);
         let shift = self.stride_shift;
-        let mut hint = self.hint;
-        let words = scan_object_fields(space, heap, endian, shift, obj, &mut hint, |v| {
+        let words = scan_object_fields(space, heap, endian, shift, obj, |v| {
             self.consider(v, RootClass::Heap);
         });
-        self.hint = hint;
         self.out.heap_words += words;
     }
 }
@@ -465,11 +409,9 @@ mod tests {
                 };
                 let obj = ObjRef { bytes, ..whole };
                 let mut got = Vec::new();
-                let mut hint = SegmentHint::new();
-                let words =
-                    scan_object_fields(&space, &heap, endian, stride_shift, obj, &mut hint, |v| {
-                        got.push(v);
-                    });
+                let words = scan_object_fields(&space, &heap, endian, stride_shift, obj, |v| {
+                    got.push(v);
+                });
                 assert_eq!(got, want, "stride {stride}, {bytes} bytes");
                 assert_eq!(words, want.len() as u64, "stride {stride}, {bytes} bytes");
             }

@@ -35,8 +35,8 @@ use crate::mark::{scan_object_fields, MarkOutcome};
 use crate::stats::MarkWorkerStats;
 use crate::worksteal::{InFlight, StealDeque};
 use crate::{GcConfig, PointerPolicy};
-use gc_heap::{Heap, MarkBit, MarkHit, ObjRef, ObjectKind, PageResolveCache};
-use gc_vmspace::{Addr, AddressSpace, Endian, SegmentHint};
+use gc_heap::{Heap, MarkBit, MarkHit, ObjRef, ObjectKind};
+use gc_vmspace::{Addr, AddressSpace, Endian};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -66,8 +66,6 @@ struct Shared<'a> {
     vic_lo: u64,
     vic_hi: u64,
     minor: bool,
-    /// Each worker keeps a private [`PageResolveCache`] when enabled.
-    resolve_cache: bool,
 }
 
 /// One worker's private results, merged deterministically after the join.
@@ -115,7 +113,6 @@ pub(crate) fn par_drain(
         vic_lo: vicinity.0,
         vic_hi: vicinity.1,
         minor,
-        resolve_cache: config.resolve_cache,
     };
     let queues: Vec<StealDeque<Batch>> = (0..nworkers).map(|_| StealDeque::new()).collect();
     let seed_batches: Vec<Batch> = seeds.chunks(BATCH).map(<[ObjRef]>::to_vec).collect();
@@ -162,14 +159,6 @@ pub(crate) fn par_drain(
     }
 }
 
-/// Folds a worker's private cache counters into its result.
-fn finish_cache(res: &mut WorkerResult, cache: Option<PageResolveCache>) {
-    if let Some(cache) = cache {
-        res.out.resolve_hits = cache.hits();
-        res.out.resolve_misses = cache.misses();
-    }
-}
-
 fn worker_loop(
     shared: &Shared<'_>,
     me: usize,
@@ -179,10 +168,6 @@ fn worker_loop(
 ) -> WorkerResult {
     let start = Instant::now();
     let mut res = WorkerResult::default();
-    let mut cache = shared.resolve_cache.then(PageResolveCache::new);
-    // Per-worker segment hint: concurrent workers scanning through the
-    // shared `AddressSpace` cache would ping-pong its single entry.
-    let mut hint = SegmentHint::new();
     let mut local: Vec<ObjRef> = Vec::new();
     let mut am_hungry = false;
     let n = queues.len();
@@ -208,7 +193,7 @@ fn worker_loop(
                 }
                 local.extend(items);
                 while let Some(obj) = local.pop() {
-                    scan_object(shared, obj, &mut local, &mut res, &mut cache, &mut hint);
+                    scan_object(shared, obj, &mut local, &mut res);
                     // Spill the *bottom* of the stack (the older entries —
                     // roots of the largest unexplored subgraphs) when the
                     // stack is overfull, or as soon as any worker is
@@ -246,29 +231,22 @@ fn worker_loop(
     if am_hungry {
         hungry.fetch_sub(1, Ordering::Relaxed);
     }
-    finish_cache(&mut res, cache);
     res.duration = start.elapsed();
     res
 }
 
 /// Scans one object with the shared scan kernel, feeding each candidate
-/// to this worker's [`consider`].
-fn scan_object(
-    shared: &Shared<'_>,
-    obj: ObjRef,
-    local: &mut Vec<ObjRef>,
-    res: &mut WorkerResult,
-    cache: &mut Option<PageResolveCache>,
-    hint: &mut SegmentHint,
-) {
+/// to this worker's [`consider`]. Contiguous heap growth extends one
+/// segment, so the workers' segment lookups hit its shared
+/// most-recently-used entry, which a hit only loads.
+fn scan_object(shared: &Shared<'_>, obj: ObjRef, local: &mut Vec<ObjRef>, res: &mut WorkerResult) {
     let words = scan_object_fields(
         shared.space,
         shared.heap,
         shared.endian,
         shared.stride_shift,
         obj,
-        hint,
-        |value| consider(shared, value, local, res, cache),
+        |value| consider(shared, value, local, res),
     );
     res.out.heap_words += words;
 }
@@ -277,13 +255,7 @@ fn scan_object(
 /// heap's mark kernel decides; this wrapper keeps the worker's counters and
 /// its blacklist sink.
 #[inline]
-fn consider(
-    shared: &Shared<'_>,
-    value: u32,
-    local: &mut Vec<ObjRef>,
-    res: &mut WorkerResult,
-    cache: &mut Option<PageResolveCache>,
-) {
+fn consider(shared: &Shared<'_>, value: u32, local: &mut Vec<ObjRef>, res: &mut WorkerResult) {
     let v = u64::from(value);
     if v < shared.vic_lo || v >= shared.vic_hi {
         return;
@@ -293,7 +265,7 @@ fn consider(
     let accept = |base| shared.policy.accepts(addr, base);
     match shared
         .heap
-        .mark_candidate(addr, cache.as_mut(), shared.minor, accept, MarkBit::Atomic)
+        .mark_candidate(addr, shared.minor, accept, MarkBit::Atomic)
     {
         MarkHit::Invalid => {
             res.out.false_refs_near_heap += 1;

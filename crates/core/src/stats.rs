@@ -151,12 +151,14 @@ pub struct CollectionStats {
     pub objects_marked: u64,
     /// Bytes marked live.
     pub bytes_marked: u64,
-    /// Candidate resolutions the mark phase's page-resolve cache answered
-    /// without a page-table walk (summed over all workers; 0 with
-    /// [`GcConfig::resolve_cache`](crate::GcConfig::resolve_cache) off).
+    /// Always 0: the mark phase keeps no resolve cache, and each
+    /// candidate in range is one page-table read, so the lookup count is
+    /// [`candidates_in_range`](Self::candidates_in_range). Remains only
+    /// because the benchmark reads it (`perfbench/src/probe.rs:445`); it
+    /// goes with the benchmark change of ROADMAP item 2.
     pub resolve_hits: u64,
-    /// Cached candidate resolutions that walked the page table anyway (cold
-    /// or evicted entries; 0 with the cache off).
+    /// Always 0, like [`resolve_hits`](Self::resolve_hits), and read at
+    /// `perfbench/src/probe.rs:446`.
     pub resolve_misses: u64,
     /// Finalizable objects that became ready this cycle.
     pub finalizers_ready: u32,

@@ -66,7 +66,13 @@ use std::time::Duration;
 /// Version 9 removed the `sweep_budget` config field: a lazy heap sweeps
 /// each pending block when its address-ordered free list first selects
 /// it, so no per-allocation bound remains.
-pub const METRICS_SCHEMA_VERSION: u32 = 9;
+///
+/// Version 10 removed the version-4 resolve-cache telemetry: the
+/// `resolve_cache` config field and the `resolve_hits` / `resolve_misses`
+/// fields of `last_collection` and of the `collection_end` event. The mark
+/// phase keeps no resolve cache; each candidate in range is one page-table
+/// read, so `candidates_in_range` is the lookup count.
+pub const METRICS_SCHEMA_VERSION: u32 = 10;
 
 // ---------------------------------------------------------------------------
 // Phase timings
@@ -144,13 +150,6 @@ pub enum GcEvent {
         objects_freed: u64,
         /// Bytes reclaimed by the sweep.
         bytes_freed: u64,
-        /// Page-resolve cache hits during the mark phase (0 when
-        /// [`GcConfig::resolve_cache`](crate::GcConfig::resolve_cache) is
-        /// off).
-        resolve_hits: u64,
-        /// Page-resolve cache misses during the mark phase (0 when the
-        /// cache is off).
-        resolve_misses: u64,
     },
     /// An allocation took the slow path: it triggered collection work
     /// (threshold or out-of-memory retry) before returning.
@@ -273,11 +272,9 @@ impl GcEvent {
                 objects_marked,
                 objects_freed,
                 bytes_freed,
-                resolve_hits,
-                resolve_misses,
             } => {
                 fields.push_str(&format!(
-                    ",\"gc_no\":{gc_no},\"kind\":\"{kind}\",\"phases\":{},\"duration_ns\":{},\"objects_marked\":{objects_marked},\"objects_freed\":{objects_freed},\"bytes_freed\":{bytes_freed},\"resolve_hits\":{resolve_hits},\"resolve_misses\":{resolve_misses}",
+                    ",\"gc_no\":{gc_no},\"kind\":\"{kind}\",\"phases\":{},\"duration_ns\":{},\"objects_marked\":{objects_marked},\"objects_freed\":{objects_freed},\"bytes_freed\":{bytes_freed}",
                     phases.to_json(),
                     duration.as_nanos(),
                 ));
@@ -781,7 +778,7 @@ pub(crate) fn metrics_json(gc: &Collector) -> String {
     let last = match &stats.last {
         None => "null".to_string(),
         Some(c) => format!(
-            "{{\"gc_no\":{},\"kind\":\"{}\",\"reason\":\"{}\",\"phases\":{},\"duration_ns\":{},\"root_words_scanned\":{},\"heap_words_scanned\":{},\"candidates_in_range\":{},\"valid_pointers\":{},\"false_refs_near_heap\":{},\"newly_blacklisted\":{},\"objects_marked\":{},\"bytes_marked\":{},\"resolve_hits\":{},\"resolve_misses\":{},\"finalizers_ready\":{},\"fast_path_allocs\":{},\"slow_path_allocs\":{},\"objects_freed\":{},\"bytes_freed\":{},\"blocks_deferred\":{},\"parallel_mark\":{}}}",
+            "{{\"gc_no\":{},\"kind\":\"{}\",\"reason\":\"{}\",\"phases\":{},\"duration_ns\":{},\"root_words_scanned\":{},\"heap_words_scanned\":{},\"candidates_in_range\":{},\"valid_pointers\":{},\"false_refs_near_heap\":{},\"newly_blacklisted\":{},\"objects_marked\":{},\"bytes_marked\":{},\"finalizers_ready\":{},\"fast_path_allocs\":{},\"slow_path_allocs\":{},\"objects_freed\":{},\"bytes_freed\":{},\"blocks_deferred\":{},\"parallel_mark\":{}}}",
             c.gc_no,
             c.kind,
             c.reason,
@@ -795,8 +792,6 @@ pub(crate) fn metrics_json(gc: &Collector) -> String {
             c.newly_blacklisted,
             c.objects_marked,
             c.bytes_marked,
-            c.resolve_hits,
-            c.resolve_misses,
             c.finalizers_ready,
             c.fast_path_allocs,
             c.slow_path_allocs,
@@ -853,14 +848,13 @@ pub(crate) fn metrics_json(gc: &Collector) -> String {
     );
 
     let config_summary = format!(
-        "{{\"pointer_policy\":\"{}\",\"scan_alignment\":\"{}\",\"generational\":{},\"incremental\":{},\"mark_threads\":{},\"lazy_sweep\":{},\"resolve_cache\":{}}}",
+        "{{\"pointer_policy\":\"{}\",\"scan_alignment\":\"{}\",\"generational\":{},\"incremental\":{},\"mark_threads\":{},\"lazy_sweep\":{}}}",
         config.pointer_policy,
         config.scan_alignment,
         config.generational,
         config.incremental,
         config.mark_threads,
         config.lazy_sweep,
-        config.resolve_cache,
     );
 
     // Lazy-sweep state: what is still pending, and the deferred work

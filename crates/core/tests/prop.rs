@@ -434,16 +434,10 @@ fn mark_fingerprint(gc: &Collector, stats: &gc_core::CollectionStats) -> MarkFin
 
 /// Builds the graph, collects twice (the second cycle re-marks a heap with
 /// established mark history and an aged blacklist), and fingerprints both.
-fn wide_trace(
-    spec: &WideGraphSpec,
-    threads: u32,
-    force: bool,
-    resolve_cache: bool,
-) -> [MarkFingerprint; 2] {
+fn wide_trace(spec: &WideGraphSpec, threads: u32, force: bool) -> [MarkFingerprint; 2] {
     let mut gc = collector_with(|c| {
         c.mark_threads = threads;
         c.mark_threads_force = force;
-        c.resolve_cache = resolve_cache;
     });
     build_wide(&mut gc, spec);
     let first = gc.collect();
@@ -462,9 +456,9 @@ proptest! {
     /// is identical for 1, 2 and 4 workers.
     #[test]
     fn marking_is_thread_count_invariant(spec in arb_wide_graph()) {
-        let serial = wide_trace(&spec, 1, false, true);
+        let serial = wide_trace(&spec, 1, false);
         for threads in [2u32, 4] {
-            let parallel = wide_trace(&spec, threads, false, true);
+            let parallel = wide_trace(&spec, threads, false);
             prop_assert_eq!(
                 &serial, &parallel,
                 "{} mark threads diverged from serial", threads
@@ -478,34 +472,14 @@ proptest! {
     /// any observable result.
     #[test]
     fn forced_parallel_marking_is_thread_count_invariant(spec in arb_wide_graph()) {
-        let serial = wide_trace(&spec, 1, false, true);
+        let serial = wide_trace(&spec, 1, false);
         for threads in [2u32, 4] {
-            let parallel = wide_trace(&spec, threads, true, true);
+            let parallel = wide_trace(&spec, threads, true);
             prop_assert_eq!(
                 &serial, &parallel,
                 "{} forced workers diverged from serial", threads
             );
         }
-    }
-
-    /// The page-resolve cache is a pure memoization: every observable of
-    /// a collection is identical with it on and off, on the serial path
-    /// and under forced worker racing.
-    #[test]
-    fn marking_is_resolve_cache_invariant(spec in arb_wide_graph()) {
-        let cached = wide_trace(&spec, 1, false, true);
-        let uncached = wide_trace(&spec, 1, false, false);
-        prop_assert_eq!(&cached, &uncached, "serial cache-off diverged");
-        let par_cached = wide_trace(&spec, 4, true, true);
-        prop_assert_eq!(
-            &cached, &par_cached,
-            "forced 4-worker cache-on diverged"
-        );
-        let par_uncached = wide_trace(&spec, 4, true, false);
-        prop_assert_eq!(
-            &cached, &par_uncached,
-            "forced 4-worker cache-off diverged"
-        );
     }
 }
 
@@ -621,16 +595,15 @@ proptest! {
     /// Exact reachability over typed+untyped graphs: with clean roots,
     /// precisely the model-reachable objects survive a full collection —
     /// typed data words never retain, typed pointer words always trace.
-    /// Holds identically for serial, forced-parallel, and cache-off
-    /// marking (one shared scan kernel).
+    /// Holds identically for serial and forced-parallel marking (one
+    /// shared scan kernel).
     #[test]
     fn typed_graphs_exactly_reachable_survive(spec in arb_typed_graph()) {
         let expect = reachable_typed(&spec);
-        for (threads, force, cache) in [(1u32, false, true), (4, true, true), (1, false, false)] {
+        for (threads, force) in [(1u32, false), (4, true)] {
             let mut gc = collector_with(|c| {
                 c.mark_threads = threads;
                 c.mark_threads_force = force;
-                c.resolve_cache = cache;
             });
             let objs = build_typed(&mut gc, &spec);
             gc.collect();
@@ -638,8 +611,8 @@ proptest! {
                 prop_assert_eq!(
                     gc.is_live(obj),
                     expect.contains(&i),
-                    "object {} (typed={}, threads={}, cache={})",
-                    i, spec.typed[i], threads, cache
+                    "object {} (typed={}, threads={})",
+                    i, spec.typed[i], threads
                 );
             }
         }

@@ -31,13 +31,6 @@ struct PageTable {
     /// Per page: [`PageTable::CLEAN`] | [`PageTable::DIRTY`] | block id
     /// (low 30 bits), with [`PageTable::NONE`] for "no block".
     slots: Vec<u32>,
-    /// Bumped on every block-id mutation; [`PageResolveCache`] entries are
-    /// valid only for the epoch they were filled under. Block ids are
-    /// recycled, so this is also what keeps a cached page → id entry from
-    /// naming a different block after its own was released and its id
-    /// reused. Growing the span and flipping clean bits change no page's
-    /// answer, so they leave the epoch alone; so do dirty bits.
-    epoch: u64,
     /// Number of entries whose dirty bit is set.
     dirty: u32,
 }
@@ -58,7 +51,6 @@ impl PageTable {
         PageTable {
             first: heap_base.page().raw(),
             slots: Vec::new(),
-            epoch: 0,
             dirty: 0,
         }
     }
@@ -93,7 +85,6 @@ impl PageTable {
         debug_assert!(id.0 < Self::NONE, "block id {} overflows the table", id.0);
         let v = self.slot_mut(page);
         *v = (*v & Self::DIRTY) | id.0;
-        self.epoch += 1;
     }
 
     /// Unmaps a released block's page; it was written, so it is not clean.
@@ -101,7 +92,6 @@ impl PageTable {
     fn clear(&mut self, page: PageIdx) {
         let v = self.slot_mut(page);
         *v = (*v & Self::DIRTY) | Self::NONE;
-        self.epoch += 1;
     }
 
     /// Grows the span to the new heap break `end` after the heap mapped
@@ -124,91 +114,6 @@ impl PageTable {
         self.slots[i..i + n as usize]
             .iter()
             .all(|&v| v & Self::CLEAN != 0)
-    }
-}
-
-/// Number of direct-mapped entries in a [`PageResolveCache`]; a power of
-/// two so the index is a mask.
-const RESOLVE_CACHE_ENTRIES: usize = 256;
-
-/// A small direct-mapped page → block cache for the mark kernel's first
-/// step ([`Heap::mark_candidate`]), which every candidate of every mark
-/// path goes through.
-///
-/// Candidate pointers cluster heavily by page — a block's objects are
-/// contiguous, and the mark stack drains neighbours together — so most
-/// lookups hit the page the cache already resolved. An entry caches the
-/// page-table answer *including* "no block here" (misses are as clustered as
-/// hits: think integers just past the heap break).
-///
-/// Correctness does not depend on any invalidation callback: every entry
-/// records the page-table **epoch** it was filled under, and the page table
-/// bumps its epoch on every block-id change (block creation, release).
-/// A lookup whose stored epoch disagrees with the heap's current epoch is
-/// treated as a miss and refilled, so a cache may be carried across
-/// collections, sweeps, and heap growth without ever returning a stale
-/// block. During a mark phase the heap is frozen, so the epoch is constant
-/// and every repeat lookup hits.
-#[derive(Debug)]
-pub struct PageResolveCache {
-    /// Cached page index per entry; `u32::MAX` = empty (pages are < 2^20).
-    tags: [u32; RESOLVE_CACHE_ENTRIES],
-    /// Cached raw block id per entry; [`PageTable::NONE`] = "page has no
-    /// block".
-    vals: [u32; RESOLVE_CACHE_ENTRIES],
-    /// Page-table epoch the entries were filled under.
-    epoch: u64,
-    hits: u64,
-    misses: u64,
-}
-
-impl Default for PageResolveCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PageResolveCache {
-    /// An empty cache; usable with any heap (it adopts the heap's epoch on
-    /// first lookup).
-    pub fn new() -> Self {
-        PageResolveCache {
-            tags: [u32::MAX; RESOLVE_CACHE_ENTRIES],
-            vals: [u32::MAX; RESOLVE_CACHE_ENTRIES],
-            epoch: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Lookups answered from the cache so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that had to walk the page table (including epoch flushes).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// The page-table answer for `page`, from the cache when current.
-    #[inline]
-    fn block_for(&mut self, page: PageIdx, table: &PageTable) -> Option<BlockId> {
-        if self.epoch != table.epoch {
-            self.tags = [u32::MAX; RESOLVE_CACHE_ENTRIES];
-            self.epoch = table.epoch;
-        }
-        let slot = page.raw() as usize & (RESOLVE_CACHE_ENTRIES - 1);
-        if self.tags[slot] == page.raw() {
-            self.hits += 1;
-            let v = self.vals[slot];
-            return (v != PageTable::NONE).then_some(BlockId(v));
-        }
-        self.misses += 1;
-        let id = table.get(page);
-        self.tags[slot] = page.raw();
-        self.vals[slot] = id.map_or(PageTable::NONE, |b| b.0);
-        id
     }
 }
 
@@ -604,7 +509,7 @@ impl Heap {
     /// barrier's card table, at page granularity): sets the page's dirty
     /// bit. Writes outside [`in_heap_range`](Heap::in_heap_range) are
     /// ignored. Dirty bits survive a page's block being released and its
-    /// reuse, and change no page's block, so the resolve epoch stays put.
+    /// reuse, and change no page's block.
     #[inline]
     pub fn note_write(&mut self, addr: Addr) {
         if self.in_heap_range(addr) {
@@ -1115,8 +1020,7 @@ impl Heap {
     }
 
     /// Figure 2's `mark(p)` for one candidate address, through a single
-    /// borrow of its block: page → block (from `cache` when given, else
-    /// the page table; the answer is the same for any cache state), the live
+    /// borrow of its block: page → block from the page table, the live
     /// slot as [`object_containing`](Self::object_containing) finds it, the
     /// caller's pointer policy `accept(base)`, the minor-mode boundary, and
     /// the mark bit's test-and-set. In minor mode an old object (or any
@@ -1126,16 +1030,11 @@ impl Heap {
     pub fn mark_candidate(
         &self,
         addr: Addr,
-        cache: Option<&mut PageResolveCache>,
         minor: bool,
         accept: impl FnOnce(Addr) -> bool,
         bit: MarkBit,
     ) -> MarkHit {
-        let id = match cache {
-            Some(cache) => cache.block_for(addr.page(), &self.page_table),
-            None => self.page_table.get(addr.page()),
-        };
-        let live = self.live_slot(id, addr);
+        let live = self.live_slot(self.page_table.get(addr.page()), addr);
         let Some((block, slot)) = live.filter(|&(b, slot)| accept(b.slot_base(slot))) else {
             return MarkHit::Invalid;
         };
@@ -1398,16 +1297,14 @@ impl Heap {
 
     /// Releases a block and frees its id for the next block created.
     ///
-    /// Reusing the id is safe for every holder of a block id:
-    /// - [`PageResolveCache`]: clearing the block's pages (and later
-    ///   mapping the id's new block) bumps the page-table epoch, so a cache
-    ///   filled before the release flushes instead of resolving the old
-    ///   page to the new block.
-    /// - [`ObjRef`]s on a collector's mark stack: blocks are released only
-    ///   by sweeps and explicit frees, and the collector runs neither while
-    ///   a mark stack holds references — it completes any deferred sweep
-    ///   before a cycle starts, and allocation during an incremental cycle
-    ///   finds nothing pending to sweep.
+    /// Reusing the id is safe for the one holder of block ids outside the
+    /// heap, [`ObjRef`]s on a collector's mark stack: blocks are released
+    /// only by sweeps and explicit frees, and the collector runs neither
+    /// while a mark stack holds references — it completes any deferred
+    /// sweep before a cycle starts, and allocation during an incremental
+    /// cycle finds nothing pending to sweep. The released pages themselves
+    /// resolve to no block, since the page table is the only page → block
+    /// map.
     fn release_block(&mut self, id: BlockId) {
         let block = self.blocks[id.0 as usize]
             .take()
@@ -1628,12 +1525,12 @@ pub fn accept_all(_page: PageIdx, _use_: PageUse) -> bool {
     true
 }
 
-/// The cached resolve the mark kernel does, for tests: every mark is
-/// cleared first, so a live object comes back as the one `Newly` marked.
+/// The resolve the mark kernel does, for tests: every mark is cleared
+/// first, so a live object comes back as the one `Newly` marked.
 #[cfg(test)]
-fn resolve_cached(heap: &mut Heap, addr: Addr, cache: &mut PageResolveCache) -> Option<ObjRef> {
+fn resolve_marking(heap: &mut Heap, addr: Addr) -> Option<ObjRef> {
     heap.clear_marks();
-    match heap.mark_candidate(addr, Some(cache), false, |_| true, MarkBit::Single) {
+    match heap.mark_candidate(addr, false, |_| true, MarkBit::Single) {
         MarkHit::Newly(obj) => Some(obj),
         MarkHit::Invalid => None,
         MarkHit::Valid => unreachable!("marks were just cleared"),
@@ -1882,7 +1779,7 @@ mod tests {
             .unwrap();
         heap.clear_marks();
         let obj = heap.object_containing(a).unwrap();
-        let mark = |bit| heap.mark_candidate(a, None, false, |_| true, bit);
+        let mark = |bit| heap.mark_candidate(a, false, |_| true, bit);
         assert_eq!(
             mark(MarkBit::Atomic),
             MarkHit::Newly(obj),
@@ -2536,88 +2433,5 @@ mod quarantine_tests {
     #[should_panic(expected = "out of range")]
     fn descriptor_rejects_out_of_range_offsets() {
         let _ = Descriptor::with_pointers_at(2, &[2]);
-    }
-
-    #[test]
-    fn resolve_cache_matches_uncached_lookups() {
-        let (mut space, mut heap) = setup();
-        let a = heap
-            .alloc(&mut space, 8, ObjectKind::Composite, &mut accept_all)
-            .unwrap();
-        let b = heap
-            .alloc(&mut space, 24, ObjectKind::Atomic, &mut accept_all)
-            .unwrap();
-        let mut cache = PageResolveCache::new();
-        // Valid bases, interiors, the gap between objects, and addresses
-        // far outside the heap must all resolve identically.
-        // (Distinct cache slots: a direct-mapped conflict would make the
-        // warm-pass assertion below count evictions, not correctness.)
-        let probes = [
-            a,
-            a + 4,
-            a + 8,
-            b,
-            b + 20,
-            Addr::new(0x10),
-            Addr::new(0x712_3000),
-        ];
-        for addr in probes {
-            assert_eq!(
-                heap.object_containing(addr),
-                resolve_cached(&mut heap, addr, &mut cache),
-                "cached resolution diverged at {addr}"
-            );
-        }
-        let misses_after_first_pass = cache.misses();
-        assert!(misses_after_first_pass > 0, "cold cache misses");
-        assert_eq!(cache.hits() + cache.misses(), probes.len() as u64);
-        // A second pass over the same pages is all hits (the heap is
-        // unchanged, so the page-table epoch is unchanged).
-        for addr in probes {
-            assert_eq!(
-                heap.object_containing(addr),
-                resolve_cached(&mut heap, addr, &mut cache)
-            );
-        }
-        assert_eq!(
-            cache.misses(),
-            misses_after_first_pass,
-            "warm pass never misses"
-        );
-        assert!(cache.hits() >= probes.len() as u64);
-    }
-
-    #[test]
-    fn resolve_cache_flushes_when_the_page_map_changes() {
-        let (mut space, mut heap) = setup();
-        let a = heap
-            .alloc(&mut space, 8, ObjectKind::Composite, &mut accept_all)
-            .unwrap();
-        let mut cache = PageResolveCache::new();
-        resolve_cached(&mut heap, a, &mut cache).unwrap();
-        resolve_cached(&mut heap, a, &mut cache).unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        // Mapping a block of a new size class mutates the page table and
-        // bumps its epoch: the next lookup must flush and re-walk, not
-        // serve the stale entry.
-        heap.alloc(&mut space, 2048, ObjectKind::Composite, &mut accept_all)
-            .unwrap();
-        let resolved = resolve_cached(&mut heap, a, &mut cache);
-        assert_eq!(resolved, heap.object_containing(a));
-        assert_eq!(
-            (cache.hits(), cache.misses()),
-            (1, 2),
-            "epoch change forces a page-table walk"
-        );
-        // Freeing every object releases pages (another epoch bump): a
-        // cached "this page has block X" must not outlive the block.
-        heap.clear_marks();
-        heap.sweep(false);
-        assert_eq!(
-            resolve_cached(&mut heap, a, &mut cache),
-            None,
-            "released block is not resurrected by the cache"
-        );
-        assert_eq!(heap.object_containing(a), None);
     }
 }

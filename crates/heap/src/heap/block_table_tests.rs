@@ -49,14 +49,13 @@ fn block_table_is_bounded_by_peak_live_blocks() {
 }
 
 #[test]
-fn resolve_cache_never_maps_a_released_page_to_a_reused_id() {
+fn a_released_page_never_resolves_to_a_reused_id() {
     let (mut space, mut heap) = setup();
     let doomed = alloc(&mut space, &mut heap, 8);
     let keep = alloc(&mut space, &mut heap, 100);
     let old_id = heap.object_containing(doomed).unwrap().block;
-    let mut cache = PageResolveCache::new();
     assert_eq!(
-        resolve_cached(&mut heap, doomed, &mut cache).map(|o| o.block),
+        resolve_marking(&mut heap, doomed).map(|o| o.block),
         Some(old_id)
     );
     heap.clear_marks();
@@ -72,10 +71,12 @@ fn resolve_cache_never_maps_a_released_page_to_a_reused_id() {
     let reused = heap.object_containing(fresh).unwrap();
     assert_eq!(reused.block, old_id, "the freed id was reused");
     assert_ne!(fresh.page(), old_page);
-    // The entry filled before the release must not name the new block.
-    assert_eq!(cache.block_for(old_page, &heap.page_table), None);
-    assert_eq!(resolve_cached(&mut heap, doomed, &mut cache), None);
-    assert_eq!(resolve_cached(&mut heap, fresh, &mut cache), Some(reused));
+    // The old page resolves to nothing, not to the block that now holds
+    // its id, through both the mark kernel and the object lookup.
+    assert_eq!(heap.page_table.get(old_page), None);
+    assert_eq!(resolve_marking(&mut heap, doomed), None);
+    assert_eq!(heap.object_containing(doomed), None);
+    assert_eq!(resolve_marking(&mut heap, fresh), Some(reused));
 }
 
 #[test]
@@ -334,14 +335,14 @@ fn dirty_pages_come_out_ascending_and_counted_exactly() {
 }
 
 #[test]
-fn the_dirty_bit_survives_release_and_reuse_without_an_epoch_bump() {
+fn the_dirty_bit_survives_release_and_reuse() {
     let (mut space, mut heap) = setup();
     let a = alloc(&mut space, &mut heap, 8);
     let other = alloc(&mut space, &mut heap, 5000);
-    let epoch = heap.page_table.epoch;
+    let id = heap.page_table.get(a.page());
     heap.note_write(a);
     heap.note_write(other + 4096);
-    assert_eq!(heap.page_table.epoch, epoch, "dirtying maps no block");
+    assert_eq!(heap.page_table.get(a.page()), id, "dirtying maps no block");
     // Nothing marked: both blocks are released.
     heap.clear_marks();
     heap.sweep(false);
@@ -353,9 +354,9 @@ fn the_dirty_bit_survives_release_and_reuse_without_an_epoch_bump() {
     assert!(heap.page_table.get(b.page()).is_some());
     assert_eq!(heap.dirty_page_count(), 2);
     assert_eq!(dirty(&heap)[0], b.page().raw());
-    let epoch = heap.page_table.epoch;
+    let id = heap.page_table.get(b.page());
     heap.clear_dirty();
-    assert_eq!(heap.page_table.epoch, epoch, "clearing maps no block");
+    assert_eq!(heap.page_table.get(b.page()), id, "clearing maps no block");
     assert_eq!(heap.dirty_page_count(), 0);
     assert_eq!(dirty(&heap), Vec::<u32>::new());
     assert_eq!(

@@ -52,6 +52,6 @@ pub use explicit::ExplicitHeap;
 pub use freelist::FreeListPolicy;
 pub use heap::{
     accept_all, Descriptor, DescriptorId, Heap, HeapConfig, HeapStats, LazySweepStats, MarkBit,
-    MarkHit, PagePredicate, PageResolveCache, PageUse, SizeClassCensus, SweepStats,
+    MarkHit, PagePredicate, PageUse, SizeClassCensus, SweepStats,
 };
 pub use sizeclass::{SizeClass, GRANULE_BYTES, MAX_SMALL_BYTES};

@@ -2,7 +2,7 @@
 
 use gc_heap::{
     accept_all, BlockShape, Descriptor, ExplicitHeap, FreeListPolicy, Heap, HeapConfig, HeapError,
-    MarkBit, MarkHit, ObjectKind, PageResolveCache, PageUse, SizeClass, SweepStats,
+    MarkBit, MarkHit, ObjectKind, PageUse, SizeClass, SweepStats,
 };
 use gc_vmspace::{Addr, AddressSpace, Endian, PageIdx, PAGE_BYTES};
 use proptest::prelude::*;
@@ -834,7 +834,7 @@ proptest! {
     /// random heaps with small and large blocks, typed and untyped slots,
     /// trailing waste, pending lazy snapshots (full and minor) and reused
     /// block ids — for every pointer policy, in full and minor mode, with
-    /// either mark-bit kind, with and without a resolve cache. The scan's
+    /// either mark-bit kind. The scan's
     /// `descriptor_of_obj` agrees with `descriptor_of` on every live object.
     #[test]
     fn mark_kernel_matches_reference_composition(
@@ -860,23 +860,14 @@ proptest! {
         for (p, policy) in policies.into_iter().enumerate() {
             for minor in [false, true] {
                 for bit in [MarkBit::Single, MarkBit::Atomic] {
-                    for cached in [false, true] {
-                        let (kernel, _) = kernel_heap(&rounds, pending, premark);
-                        let (mut reference, _) = kernel_heap(&rounds, pending, premark);
-                        let mut cache = PageResolveCache::new();
-                        for &addr in &probes {
-                            let got = kernel.mark_candidate(
-                                addr,
-                                cached.then_some(&mut cache),
-                                minor,
-                                |base| policy(addr, base),
-                                bit,
-                            );
-                            let want = reference_mark(&mut reference, addr, policy, minor);
-                            prop_assert_eq!(got, want, "{} policy {} minor {} {:?}", addr, p, minor, bit);
-                        }
-                        prop_assert_eq!(mark_bits(&kernel), mark_bits(&reference));
+                    let (kernel, _) = kernel_heap(&rounds, pending, premark);
+                    let (mut reference, _) = kernel_heap(&rounds, pending, premark);
+                    for &addr in &probes {
+                        let got = kernel.mark_candidate(addr, minor, |base| policy(addr, base), bit);
+                        let want = reference_mark(&mut reference, addr, policy, minor);
+                        prop_assert_eq!(got, want, "{} policy {} minor {} {:?}", addr, p, minor, bit);
                     }
+                    prop_assert_eq!(mark_bits(&kernel), mark_bits(&reference));
                 }
             }
         }

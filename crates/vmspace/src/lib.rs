@@ -42,4 +42,4 @@ pub use addr::{Addr, PageIdx, PAGE_BYTES, PAGE_WORDS, WORD_BYTES};
 pub use endian::Endian;
 pub use error::VmError;
 pub use segment::{Segment, SegmentId, SegmentKind, SegmentSpec};
-pub use space::{AddressSpace, SegmentHint};
+pub use space::AddressSpace;

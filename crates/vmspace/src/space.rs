@@ -6,27 +6,6 @@ use std::sync::atomic::{AtomicU32, Ordering};
 /// Sentinel for "no cached segment" in the lookup cache.
 const NO_CACHE: u32 = u32::MAX;
 
-/// A caller-owned one-entry segment lookup hint for long scans.
-///
-/// [`AddressSpace::find`] keeps a small *shared* segment cache; when
-/// parallel mark workers scan different segments through the same
-/// `&AddressSpace`, each worker's store evicts the others' entry and every
-/// lookup falls back to the binary search. A `SegmentHint` is the private
-/// equivalent: each scan loop owns one, and
-/// [`find_hinted`](AddressSpace::find_hinted) /
-/// [`bytes_at_hinted`](AddressSpace::bytes_at_hinted) consult and update
-/// only the hint, never the shared slot. Hints are only ever hints: a
-/// stale entry (e.g. after an unmap) misses and the lookup re-resolves.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SegmentHint(Option<SegmentId>);
-
-impl SegmentHint {
-    /// An empty hint; the first lookup through it does the full search.
-    pub fn new() -> Self {
-        SegmentHint(None)
-    }
-}
-
 /// A simulated 32-bit, byte-addressed address space.
 ///
 /// An `AddressSpace` is a set of non-overlapping [`Segment`]s. All multi-byte
@@ -294,47 +273,6 @@ impl AddressSpace {
         Some(self.segment(id)).filter(|seg| seg.contains(addr))
     }
 
-    /// Finds the segment containing `addr`, consulting and updating only
-    /// the caller's [`SegmentHint`] — the shared one-entry cache is never
-    /// read or written, so concurrent scans through distinct hints cannot
-    /// evict each other.
-    #[inline]
-    pub fn find_hinted(&self, addr: Addr, hint: &mut SegmentHint) -> Option<&Segment> {
-        if let Some(id) = hint.0 {
-            if let Some(seg) = self.try_segment(id) {
-                if seg.contains(addr) {
-                    return Some(seg);
-                }
-            }
-        }
-        let seg = self.search(addr)?;
-        hint.0 = Some(seg.id());
-        Some(seg)
-    }
-
-    /// [`bytes_at`](AddressSpace::bytes_at) through a caller-owned
-    /// [`SegmentHint`] instead of the shared lookup cache.
-    ///
-    /// # Errors
-    ///
-    /// Faults if the whole range is not inside a single mapped segment.
-    #[inline]
-    pub fn bytes_at_hinted(
-        &self,
-        addr: Addr,
-        len: u32,
-        hint: &mut SegmentHint,
-    ) -> Result<&[u8], VmError> {
-        let seg = self
-            .find_hinted(addr, hint)
-            .ok_or(VmError::Unmapped { addr })?;
-        if u64::from(addr.raw()) + u64::from(len) > seg.end() {
-            return Err(VmError::Torn { addr, width: len });
-        }
-        let off = (addr - seg.base) as usize;
-        Ok(&seg.data[off..off + len as usize])
-    }
-
     /// Returns `true` if `addr` lies in some mapped segment.
     pub fn is_mapped(&self, addr: Addr) -> bool {
         self.find(addr).is_some()
@@ -459,6 +397,7 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Faults if the whole range is not inside a single mapped segment.
+    #[inline]
     pub fn bytes_at(&self, addr: Addr, len: u32) -> Result<&[u8], VmError> {
         let (seg, off) = self.locate(addr, len)?;
         Ok(&seg.data[off..off + len as usize])
@@ -809,97 +748,6 @@ mod tests {
         let c = s.clone();
         assert!(c.read_u8(Addr::new(0x1000)).is_ok());
         assert_eq!(c.mapped_bytes(), s.mapped_bytes());
-    }
-
-    #[test]
-    fn hinted_find_matches_shared_find() {
-        let mut s = AddressSpace::new(Endian::Big);
-        s.map(SegmentSpec::new(
-            "a",
-            SegmentKind::Data,
-            Addr::new(0x1000),
-            0x100,
-        ))
-        .unwrap();
-        s.map(SegmentSpec::new(
-            "b",
-            SegmentKind::Data,
-            Addr::new(0x3000),
-            0x100,
-        ))
-        .unwrap();
-        let mut hint = SegmentHint::new();
-        for addr in [0x1000u32, 0x10ff, 0x3000, 0x1004, 0x30ff, 0x2000, 0x0] {
-            let addr = Addr::new(addr);
-            assert_eq!(
-                s.find_hinted(addr, &mut hint).map(|x| x.id()),
-                s.find(addr).map(|x| x.id()),
-                "hinted and shared lookups agree at {addr}"
-            );
-        }
-        assert_eq!(
-            s.bytes_at_hinted(Addr::new(0x1004), 4, &mut hint).unwrap(),
-            s.bytes_at(Addr::new(0x1004), 4).unwrap()
-        );
-        // Torn and unmapped accesses fault identically.
-        assert_eq!(
-            s.bytes_at_hinted(Addr::new(0x10fe), 4, &mut hint),
-            s.bytes_at(Addr::new(0x10fe), 4)
-        );
-        assert_eq!(
-            s.bytes_at_hinted(Addr::new(0x2000), 4, &mut hint),
-            s.bytes_at(Addr::new(0x2000), 4)
-        );
-    }
-
-    #[test]
-    fn stale_hint_is_harmless_after_unmap() {
-        let (mut s, id) = space_with(0x1000, 0x1000);
-        let mut hint = SegmentHint::new();
-        assert!(s.find_hinted(Addr::new(0x1000), &mut hint).is_some());
-        s.unmap(id);
-        assert!(s.find_hinted(Addr::new(0x1000), &mut hint).is_none());
-        let id2 = s
-            .map(SegmentSpec::new(
-                "again",
-                SegmentKind::Data,
-                Addr::new(0x1000),
-                0x1000,
-            ))
-            .unwrap();
-        assert_eq!(
-            s.find_hinted(Addr::new(0x1000), &mut hint).map(|x| x.id()),
-            Some(id2)
-        );
-    }
-
-    #[test]
-    fn hinted_lookups_leave_the_shared_cache_alone() {
-        let mut s = AddressSpace::new(Endian::Big);
-        s.map(SegmentSpec::new(
-            "a",
-            SegmentKind::Data,
-            Addr::new(0x1000),
-            0x100,
-        ))
-        .unwrap();
-        s.map(SegmentSpec::new(
-            "b",
-            SegmentKind::Data,
-            Addr::new(0x3000),
-            0x100,
-        ))
-        .unwrap();
-        // Warm the shared cache on segment "a"...
-        let a = s.find(Addr::new(0x1000)).unwrap().id();
-        // ...then scan segment "b" through a private hint.
-        let mut hint = SegmentHint::new();
-        assert!(s.find_hinted(Addr::new(0x3000), &mut hint).is_some());
-        assert_eq!(
-            s.cache[0].load(Ordering::Relaxed),
-            a.raw(),
-            "hinted scan did not evict the shared entry"
-        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Runs perfbench on a parent revision and the working tree side by side.
 
-    python3 scripts/ab_pairs.py --parent <rev> --workload <w> --pairs N --seconds S
-        [--seed K] [--dir D]
+    python3 scripts/ab_pairs.py --parent <rev> --workload <w>[,<w>...]|all
+        --pairs N --seconds S [--seed K] [--dir D]
 
 Run it from the repository root. perfbench is built twice with the same
 settings: the parent revision from a `git archive` export under D (default
@@ -10,13 +10,17 @@ settings: the parent revision from a `git archive` export under D (default
 into .bench_build, as perfbench/run.py builds it. The two sides of each
 pair run at the same time, untraced, each pinned to its own core with
 taskset, and swap cores from pair to pair; pair i runs seed K + i on both
-sides. Both sides of a pair therefore see the same machine load and memory
+sides. Each side is built once; the pairs of each named workload then run
+one workload after another. Both sides of a pair therefore see the same machine load and memory
 contention, which back-to-back runs do not. The script needs at least two
 cores it may run on, and exits 1 if any run fails.
 
-It prints, for every end-to-end metric of BENCHMARK.json, each side's
-median [first quartile, third quartile] and the pairs where the working
-tree is better (ties count for neither side), as a Markdown table row.
+It prints, for every workload and end-to-end metric of BENCHMARK.json,
+each side's median [first quartile, third quartile], the pairs where the
+working tree is better (ties count for neither side), and whether the
+working tree's median is within the metric's bound of the parent's (for a
+lower-is-better metric: change <= parent * (1 + bound)), as a Markdown
+table row.
 """
 
 import argparse
@@ -101,10 +105,49 @@ def summary(values):
     return f"{fmt(med)} [{fmt(q1)}, {fmt(q3)}]"
 
 
+def within_bound(parent, change, metric):
+    """Is the change's median no worse than the parent's by more than the
+    metric's relative bound?"""
+    p, c = statistics.median(parent), statistics.median(change)
+    if metric["better"] == "lower":
+        return c <= p * (1 + metric["bound"])
+    return c >= p * (1 - metric["bound"])
+
+
+def workloads(arg):
+    """The workloads named by --workload: `all`, or a comma-separated list."""
+    if arg == "all":
+        return list(WORKLOADS)
+    names = arg.split(",")
+    unknown = [w for w in names if w not in WORKLOADS]
+    if unknown or len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(
+            f"expected 'all' or distinct names from {', '.join(WORKLOADS)}, got {arg!r}")
+    return names
+
+
+def run_pairs(args, workload, sides, cores):
+    """Runs `args.pairs` concurrent pairs of `workload`; returns each side's
+    final JSON lines."""
+    runs = {side: [] for side in sides}
+    for i in range(args.pairs):
+        seed = args.seed + i
+        a, b = (cores[0], cores[1]) if i % 2 == 0 else (cores[1], cores[0])
+        procs = {side: start(binary, cwd, core, workload, seed, args.seconds)
+                 for (side, (binary, cwd)), core in zip(sides.items(), (a, b))}
+        for side, r in finish(procs, f"{workload} seed {seed}").items():
+            runs[side].append(r)
+        print(f"{workload} pair {i + 1}/{args.pairs} (seed {seed}, parent on cpu {a}): "
+              f"gc_s {runs['parent'][-1]['metrics']['gc_s']['value']:.3f} -> "
+              f"{runs['change'][-1]['metrics']['gc_s']['value']:.3f}", file=sys.stderr)
+    return runs
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="revision to compare against")
-    ap.add_argument("--workload", required=True, choices=WORKLOADS)
+    ap.add_argument("--workload", required=True, type=workloads,
+                    help=f"'all', or a comma-separated list of {', '.join(WORKLOADS)}")
     ap.add_argument("--pairs", required=True, type=int)
     ap.add_argument("--seconds", required=True, type=int)
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
@@ -123,32 +166,27 @@ def main():
     parent_bin = build(parent_tree, os.path.join(parent_tree, ".bench_build"))
     change_bin = build(ROOT, os.path.join(ROOT, ".bench_build"))
 
-    runs = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        seed = args.seed + i
-        a, b = (cores[0], cores[1]) if i % 2 == 0 else (cores[1], cores[0])
-        procs = {"parent": start(parent_bin, parent_tree, a, args.workload, seed, args.seconds),
-                 "change": start(change_bin, ROOT, b, args.workload, seed, args.seconds)}
-        for side, r in finish(procs, f"{args.workload} seed {seed}").items():
-            runs[side].append(r)
-        print(f"pair {i + 1}/{args.pairs} (seed {seed}, parent on cpu {a}): "
-              f"gc_s {runs['parent'][-1]['metrics']['gc_s']['value']:.3f} -> "
-              f"{runs['change'][-1]['metrics']['gc_s']['value']:.3f}", file=sys.stderr)
+    sides = {"parent": (parent_bin, parent_tree), "change": (change_bin, ROOT)}
+    results = {w: run_pairs(args, w, sides, cores) for w in args.workload}
 
-    for side, rs in runs.items():
-        attempted = sum(r["attempted"] for r in rs)
-        failed = sum(r["failed"] for r in rs)
-        print(f"{side}: {failed} of {attempted} operations failed")
+    for workload, runs in results.items():
+        for side, rs in runs.items():
+            attempted = sum(r["attempted"] for r in rs)
+            failed = sum(r["failed"] for r in rs)
+            print(f"{workload} {side}: {failed} of {attempted} operations failed")
     print()
-    print("| Workload | Metric | Parent | Change | Better |")
-    print("|---|---|---|---|---|")
-    for m in metrics:
-        name = m["name"]
-        p = [r["metrics"][name]["value"] for r in runs["parent"]]
-        c = [r["metrics"][name]["value"] for r in runs["change"]]
-        sign = 1 if m["better"] == "lower" else -1
-        wins = sum(1 for x, y in zip(p, c) if sign * (y - x) < 0)
-        print(f"| {args.workload} | {name} | {summary(p)} | {summary(c)} | {wins}/{len(p)} |")
+    print("| Workload | Metric | Parent | Change | Better | Within bound |")
+    print("|---|---|---|---|---|---|")
+    for workload, runs in results.items():
+        for m in metrics:
+            name = m["name"]
+            p = [r["metrics"][name]["value"] for r in runs["parent"]]
+            c = [r["metrics"][name]["value"] for r in runs["change"]]
+            sign = 1 if m["better"] == "lower" else -1
+            wins = sum(1 for x, y in zip(p, c) if sign * (y - x) < 0)
+            ok = "yes" if within_bound(p, c, m) else "no"
+            print(f"| {workload} | {name} | {summary(p)} | {summary(c)} | "
+                  f"{wins}/{len(p)} | {ok} ({m['bound']:.0%}) |")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,12 @@
-//! Configurations that move two or more of the collector's knobs at once
-//! — parallel marking, lazy sweeping, the page-resolve cache — are
-//! observationally identical to the paper's serial, eager collector: the
-//! crossed entries of the one configuration list, compared exactly with
-//! the baseline on randomized traces and Table-1 retention, and GCBench
-//! classic under forced racing workers and under lazy sweeping. Each
+//! Configurations that move both of the collector's knobs at once —
+//! parallel marking and lazy sweeping — are observationally identical to
+//! the paper's serial, eager collector: the crossed entries of the one
+//! configuration list, compared exactly with the baseline on randomized
+//! traces and Table-1 retention, and GCBench classic under forced racing
+//! workers and under lazy sweeping. Each
 //! single knob has its own file (`parallel_mark_diff.rs`,
-//! `lazy_sweep_diff.rs`, `resolve_cache_diff.rs`); all share
-//! `equivalence/mod.rs`.
+//! `lazy_sweep_diff.rs`); all share `equivalence/mod.rs`, whose baseline
+//! `mark_trace_golden.rs` pins to recorded digests.
 
 mod equivalence;
 

@@ -1,15 +1,15 @@
 //! The configuration-equivalence harness shared by the differential tests.
 //!
-//! The collector's implementation knobs — parallel marking, lazy sweeping
-//! and the page-resolve cache — are observationally identical to the
-//! paper's serial, eager collector. [`configs`] is the one list of
-//! compared configurations; each test file takes the entries of one
-//! [`Axis`] and compares them, exactly, with the baseline on randomized
-//! typed+untyped traces (fingerprinted after every collection, live
-//! addresses read mid-pending) and on Table-1 retention. Only durations,
-//! per-worker splits and the resolve telemetry (zero exactly when the
-//! cache is off) may differ. `GcConfig::default()` reads no environment,
-//! so each configuration is an explicit input.
+//! The collector's implementation knobs — parallel marking and lazy
+//! sweeping — are observationally identical to the paper's serial, eager
+//! collector. [`configs`] is the one list of compared configurations;
+//! each test file takes the entries of one [`Axis`] and compares them,
+//! exactly, with the baseline on randomized typed+untyped traces
+//! (fingerprinted after every collection, live addresses read
+//! mid-pending) and on Table-1 retention. Only durations and per-worker
+//! splits may differ. `GcConfig::default()` reads no environment, so
+//! each configuration is an explicit input. `mark_trace_golden.rs` pins
+//! the baseline itself to recorded digests.
 
 // Each test binary uses its own part of the harness.
 #![allow(dead_code)]
@@ -38,19 +38,16 @@ pub struct Cfg {
     /// Spawn every worker even past the core count, so they really race.
     pub force: bool,
     pub lazy_sweep: bool,
-    pub resolve_cache: bool,
 }
 
 /// Which knobs a configuration moves away from the baseline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Axis {
-    /// More than one mark worker; eager sweep, cache on.
+    /// More than one mark worker; eager sweep.
     Threads,
-    /// Lazy sweeping; one marker, cache on.
+    /// Lazy sweeping; one marker.
     Sweep,
-    /// Cache off; one marker, eager sweep.
-    Cache,
-    /// Two or three knobs at once.
+    /// Both knobs at once.
     Crossed,
 }
 
@@ -60,7 +57,6 @@ impl Cfg {
         mark_threads: 1,
         force: false,
         lazy_sweep: false,
-        resolve_cache: true,
     };
     /// The baseline with lazy sweeping.
     pub const LAZY: Cfg = Cfg {
@@ -72,37 +68,31 @@ impl Cfg {
         gc.mark_threads = self.mark_threads;
         gc.mark_threads_force = self.force;
         gc.lazy_sweep = self.lazy_sweep;
-        gc.resolve_cache = self.resolve_cache;
     }
 
     pub fn axis(self) -> Axis {
-        let moved = [self.mark_threads != 1, self.lazy_sweep, !self.resolve_cache];
-        match moved {
-            [true, false, false] => Axis::Threads,
-            [false, true, false] => Axis::Sweep,
-            [false, false, true] => Axis::Cache,
+        match (self.mark_threads != 1, self.lazy_sweep) {
+            (true, false) => Axis::Threads,
+            (false, true) => Axis::Sweep,
             _ => Axis::Crossed,
         }
     }
 }
 
 /// Every configuration compared with the baseline: {1; forced 2, 4, 8;
-/// unforced 4 (clamped to the host's cores)} × {eager, lazy} ×
-/// {cache on, off}. Retiring a knob means deleting its axis here.
+/// unforced 4 (clamped to the host's cores)} × {eager, lazy}. Retiring a
+/// knob means deleting its axis here.
 pub fn configs() -> Vec<Cfg> {
     let mut out = Vec::new();
     for (mark_threads, force) in [(1, false), (2, true), (4, true), (8, true), (4, false)] {
         for lazy_sweep in [false, true] {
-            for resolve_cache in [true, false] {
-                let cfg = Cfg {
-                    mark_threads,
-                    force,
-                    lazy_sweep,
-                    resolve_cache,
-                };
-                if cfg != Cfg::BASELINE {
-                    out.push(cfg);
-                }
+            let cfg = Cfg {
+                mark_threads,
+                force,
+                lazy_sweep,
+            };
+            if cfg != Cfg::BASELINE {
+                out.push(cfg);
             }
         }
     }
@@ -167,9 +157,8 @@ fn fingerprint(m: &Machine, stats: &CollectionStats) -> CollectionFingerprint {
 }
 
 /// Runs a deterministic randomized typed+untyped workload and fingerprints
-/// every collection; also returns the summed resolve hit+miss counters.
-/// Only `cfg` varies between compared runs.
-fn run_trace(seed: u64, generational: bool, cfg: Cfg) -> (Vec<CollectionFingerprint>, u64) {
+/// every collection. Only `cfg` varies between compared runs.
+fn run_trace(seed: u64, generational: bool, cfg: Cfg) -> Vec<CollectionFingerprint> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut gc = GcConfig {
         heap: HeapConfig {
@@ -209,7 +198,6 @@ fn run_trace(seed: u64, generational: bool, cfg: Cfg) -> (Vec<CollectionFingerpr
     .map(|d| m.gc_mut().register_descriptor(d));
 
     let mut fingerprints = Vec::new();
-    let mut resolves = 0u64;
     let mut recent: Vec<u32> = Vec::new();
     for step in 0..500u32 {
         match rng.random_range(0..100u32) {
@@ -255,7 +243,6 @@ fn run_trace(seed: u64, generational: bool, cfg: Cfg) -> (Vec<CollectionFingerpr
                     m.collect()
                 };
                 fingerprints.push(fingerprint(&m, &stats));
-                resolves += stats.resolve_hits + stats.resolve_misses;
                 recent.retain(|&o| m.gc().is_live(Addr::new(o)));
             }
         }
@@ -265,29 +252,23 @@ fn run_trace(seed: u64, generational: bool, cfg: Cfg) -> (Vec<CollectionFingerpr
     }
     let stats = m.collect();
     fingerprints.push(fingerprint(&m, &stats));
-    resolves += stats.resolve_hits + stats.resolve_misses;
-    (fingerprints, resolves)
+    fingerprints
+}
+
+/// The baseline's fingerprint of every collection of the trace at `seed`.
+pub fn baseline_trace(seed: u64, generational: bool) -> Vec<CollectionFingerprint> {
+    run_trace(seed, generational, Cfg::BASELINE)
 }
 
 /// Compares each of `cfgs`' traces, addresses included, with the
-/// baseline's at each seed, and checks the resolve counters follow the
-/// cache: no lookups with it off, some with it on, serial or parallel.
+/// baseline's at each seed.
 pub fn traces_are_configuration_invariant(cfgs: &[Cfg], seeds: &[u64], generational: bool) {
     assert!(!cfgs.is_empty(), "no configuration to compare");
     for &seed in seeds {
-        let (base, resolves) = run_trace(seed, generational, Cfg::BASELINE);
+        let base = run_trace(seed, generational, Cfg::BASELINE);
         assert!(base.len() > 10, "trace collected often enough to compare");
-        assert!(
-            resolves > 0,
-            "seed {seed}: the baseline reports its lookups"
-        );
         for &cfg in cfgs {
-            let (run, resolves) = run_trace(seed, generational, cfg);
-            assert_eq!(
-                resolves > 0,
-                cfg.resolve_cache,
-                "seed {seed}: {cfg:?} reported {resolves} resolve lookups"
-            );
+            let run = run_trace(seed, generational, cfg);
             assert_eq!(
                 base, run,
                 "seed {seed} (generational={generational}): {cfg:?} diverged from the baseline"
@@ -319,6 +300,13 @@ fn table1_key(r: &ProgramTReport) -> impl PartialEq + std::fmt::Debug {
     );
     let fates = (r.reclaimed.clone(), r.representatives.clone());
     (counts, r.fraction_retained().to_bits(), fates)
+}
+
+/// The baseline's Table-1 key on SPARC statics (seed 11, scale divisor
+/// 25).
+pub fn baseline_table1_key(blacklisting: bool) -> impl std::fmt::Debug {
+    let profile = Profile::sparc_static(false);
+    table1_key(&table1_run(&profile, blacklisting, Cfg::BASELINE))
 }
 
 /// Table-1 retention — the paper's headline metric, on its worst-case

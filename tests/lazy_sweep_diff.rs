@@ -1,6 +1,6 @@
 //! Lazy sweeping is observationally identical to the eager sweep: the
-//! sweep entry of the one configuration list (one marker, cache on),
-//! compared exactly with the baseline, live addresses included. A lazy
+//! sweep entry of the one configuration list (one marker), compared
+//! exactly with the baseline, live addresses included. A lazy
 //! snapshot releases empty blocks as the eager sweep does, so both sweeps
 //! place later objects alike. See `equivalence/mod.rs`.
 

@@ -1,7 +1,7 @@
 //! Parallel marking is observationally identical to the serial marker:
 //! the thread entries of the one configuration list (forced 2, 4, 8
-//! racing workers, and 4 clamped to the host's cores; eager sweep, cache
-//! on), compared exactly with the baseline. See `equivalence/mod.rs`.
+//! racing workers, and 4 clamped to the host's cores; eager sweep),
+//! compared exactly with the baseline. See `equivalence/mod.rs`.
 
 mod equivalence;
 
