@@ -15,10 +15,6 @@ pub struct Table1Config {
     /// Scale divisor for Program T (1 = the paper's full size; tests use
     /// larger divisors for speed). Scaling shrinks lists and nodes alike.
     pub scale: u32,
-    /// Mark-phase worker threads; `None` inherits the collector default.
-    /// Retention results are identical for any value — the parallel marker
-    /// is equivalent to the serial one — so this only affects wall-clock.
-    pub mark_threads: Option<u32>,
 }
 
 impl Default for Table1Config {
@@ -26,7 +22,6 @@ impl Default for Table1Config {
         Table1Config {
             seeds: vec![1, 2, 3],
             scale: 1,
-            mark_threads: None,
         }
     }
 }
@@ -101,23 +96,10 @@ pub fn shape_for(profile: &Profile, scale: u32) -> ProgramT {
 
 /// Runs Program T once on a fresh instance of `profile`.
 pub fn run_once(profile: &Profile, seed: u64, blacklisting: bool, scale: u32) -> ProgramTReport {
-    run_once_with(profile, seed, blacklisting, scale, None)
-}
-
-/// [`run_once`] with an explicit mark-thread count (`None` inherits the
-/// collector default).
-pub fn run_once_with(
-    profile: &Profile,
-    seed: u64,
-    blacklisting: bool,
-    scale: u32,
-    mark_threads: Option<u32>,
-) -> ProgramTReport {
     let shape = shape_for(profile, scale);
     let mut platform = profile.build(BuildOptions {
         seed,
         blacklisting,
-        mark_threads,
         ..BuildOptions::default()
     });
     let Platform { machine, hooks, .. } = &mut platform;
@@ -142,9 +124,9 @@ pub fn run_row(profile: &Profile, config: &Table1Config) -> Table1Row {
     let mut bl = RetentionRange::default();
     let mut detail = Vec::new();
     for &seed in &config.seeds {
-        let r = run_once_with(profile, seed, false, config.scale, config.mark_threads);
+        let r = run_once(profile, seed, false, config.scale);
         no_bl.samples.push(r.fraction_retained());
-        let r = run_once_with(profile, seed, true, config.scale, config.mark_threads);
+        let r = run_once(profile, seed, true, config.scale);
         bl.samples.push(r.fraction_retained());
         detail.push(r);
     }
@@ -227,7 +209,6 @@ mod tests {
         let config = Table1Config {
             seeds: vec![5],
             scale: 10,
-            ..Table1Config::default()
         };
         let row = run_row(&profile, &config);
         assert!(

@@ -5,10 +5,15 @@
 //! blacklist.
 
 use gc_analysis::alignment::{sweep, table};
+use gc_bench::Positionals;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: u32 = args.first().and_then(|s| s.parse().ok()).unwrap_or(4);
+    let args = Positionals::new(
+        std::env::args().skip(1).collect(),
+        1,
+        "alignment_study [scale]",
+    );
+    let scale: u32 = args.get(0).unwrap_or(4);
     println!("Program T on the SPARC(static) image at scale 1/{scale}\n");
     println!("{}", table(&sweep(1, scale)));
     println!("Paper (§2): unaligned scanning greatly increases false pointers;");

@@ -3,10 +3,15 @@
 //! exemption. Program T on the SPARC(static) image at 1/4 scale.
 
 use gc_analysis::ablation;
+use gc_bench::Positionals;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: u32 = args.first().and_then(|s| s.parse().ok()).unwrap_or(4);
+    let args = Positionals::new(
+        std::env::args().skip(1).collect(),
+        1,
+        "blacklist_ablation [scale]",
+    );
+    let scale: u32 = args.get(0).unwrap_or(4);
     let seed = 1;
 
     println!("-- backend: exact bitmap vs hashed one-bit tables --\n");

@@ -4,11 +4,16 @@
 //! blacklisting addresses cheaply.
 
 use gc_analysis::dual_heap;
+use gc_bench::Positionals;
 use gc_platforms::Profile;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: u32 = args.first().and_then(|s| s.parse().ok()).unwrap_or(4);
+    let args = Positionals::new(
+        std::env::args().skip(1).collect(),
+        1,
+        "dual_heap_oracle [scale]",
+    );
+    let scale: u32 = args.get(0).unwrap_or(4);
     println!(
         "SPARC(static) image, blacklisting OFF, heap copies offset by 64 KB (scale 1/{scale})\n"
     );

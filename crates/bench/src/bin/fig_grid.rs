@@ -2,13 +2,18 @@
 //! rectangular grid, embedded links vs. separate cons-cells.
 
 use gc_analysis::TextTable;
+use gc_bench::Positionals;
 use gc_platforms::{BuildOptions, Profile};
 use gc_workloads::{Grid, GridStyle};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let size: u32 = args.first().and_then(|s| s.parse().ok()).unwrap_or(100);
-    let trials: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(20);
+    let args = Positionals::new(
+        std::env::args().skip(1).collect(),
+        2,
+        "fig_grid [size [trials]]",
+    );
+    let size: u32 = args.get(0).unwrap_or(100);
+    let trials: u64 = args.get(1).unwrap_or(20);
 
     let mut table = TextTable::new(vec![
         "Representation".into(),

@@ -7,11 +7,16 @@
 
 use gc_analysis::table1::run_once;
 use gc_analysis::TextTable;
+use gc_bench::Positionals;
 use gc_platforms::Profile;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: u32 = args.first().and_then(|s| s.parse().ok()).unwrap_or(1);
+    let args = Positionals::new(
+        std::env::args().skip(1).collect(),
+        1,
+        "pcr_robustness [scale]",
+    );
+    let scale: u32 = args.get(0).unwrap_or(1);
     let mut table = TextTable::new(vec![
         "Cedar world".into(),
         "Concurrent client".into(),

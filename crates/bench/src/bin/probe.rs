@@ -5,23 +5,25 @@
 //! Usage: `probe <sparc_static|sparc_dynamic|sgi|os2|pcr> [seed...]`
 
 use gc_analysis::table1;
+use gc_bench::Positionals;
 use gc_platforms::Profile;
 
+const USAGE: &str = "probe <sparc_static|sparc_dynamic|sgi|os2|pcr> [seed...]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let row = args.first().map(String::as_str).unwrap_or("sparc_static");
-    let seeds: Vec<u64> = if args.len() > 1 {
-        args[1..].iter().filter_map(|s| s.parse().ok()).collect()
-    } else {
-        vec![1, 2]
-    };
-    let profile = match row {
+    let args = Positionals::new(std::env::args().skip(1).collect(), usize::MAX, USAGE);
+    let row: String = args.get(0).unwrap_or_else(|| "sparc_static".into());
+    let mut seeds: Vec<u64> = args.rest(1);
+    if seeds.is_empty() {
+        seeds = vec![1, 2];
+    }
+    let profile = match row.as_str() {
         "sparc_static" => Profile::sparc_static(false),
         "sparc_dynamic" => Profile::sparc_dynamic(false),
         "sgi" => Profile::sgi(false),
         "os2" => Profile::os2(false),
         "pcr" => Profile::pcr(4, false),
-        other => panic!("unknown row {other}"),
+        other => args.fail(&format!("unknown row {other:?}")),
     };
     for &seed in &seeds {
         let off = table1::run_once(&profile, seed, false, 1);

@@ -4,11 +4,16 @@
 
 use gc_analysis::provenance::classify_retention;
 use gc_analysis::table1::shape_for;
+use gc_bench::Positionals;
 use gc_platforms::{BuildOptions, Platform, Profile};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: u32 = args.first().and_then(|s| s.parse().ok()).unwrap_or(2);
+    let args = Positionals::new(
+        std::env::args().skip(1).collect(),
+        1,
+        "provenance_report [scale]",
+    );
+    let scale: u32 = args.get(0).unwrap_or(2);
     for (profile, blacklisting) in [
         (Profile::sparc_static(false), false),
         (Profile::sparc_static(false), true),

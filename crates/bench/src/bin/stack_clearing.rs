@@ -7,6 +7,7 @@
 //! clearing; ~2,000 optimized.
 
 use gc_analysis::TextTable;
+use gc_bench::Positionals;
 use gc_core::GcConfig;
 use gc_heap::HeapConfig;
 use gc_machine::{FramePolicy, Machine, MachineConfig, StackClearing};
@@ -47,8 +48,12 @@ fn sparc_like(clearing: bool) -> Machine {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: u32 = args.first().and_then(|s| s.parse().ok()).unwrap_or(1);
+    let args = Positionals::new(
+        std::env::args().skip(1).collect(),
+        1,
+        "stack_clearing [scale]",
+    );
+    let scale: u32 = args.get(0).unwrap_or(1);
 
     let mut table = TextTable::new(vec![
         "Configuration".into(),

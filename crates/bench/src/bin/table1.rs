@@ -6,26 +6,21 @@
 //! the result rows as a machine-readable report.
 
 use gc_analysis::table1::{self, Table1Config};
-use gc_bench::{json_array, json_object, json_str, take_mark_threads, JsonOut};
+use gc_bench::{json_array, json_object, json_str, JsonOut, Positionals};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let json_out = JsonOut::from_args(&mut args);
-    let mark_threads = take_mark_threads(&mut args);
-    let scale: u32 = args.first().and_then(|s| s.parse().ok()).unwrap_or(1);
-    let seeds: Vec<u64> = if args.len() > 1 {
-        args[1..].iter().filter_map(|s| s.parse().ok()).collect()
-    } else {
-        vec![1, 2, 3]
-    };
-    let config = Table1Config {
-        seeds,
-        scale,
-        mark_threads: Some(mark_threads),
-    };
+    let args = Positionals::new(args, usize::MAX, "table1 [--json <path>] [scale [seed...]]");
+    let scale: u32 = args.get(0).unwrap_or(1);
+    let mut seeds: Vec<u64> = args.rest(1);
+    if seeds.is_empty() {
+        seeds = vec![1, 2, 3];
+    }
+    let config = Table1Config { seeds, scale };
     eprintln!(
-        "running Table 1 at scale 1/{} with seeds {:?} and {} mark thread(s)…",
-        config.scale, config.seeds, mark_threads
+        "running Table 1 at scale 1/{} with seeds {:?}…",
+        config.scale, config.seeds
     );
     let table = table1::run(&config);
     println!("{table}");
@@ -44,7 +39,6 @@ fn main() {
         ("benchmark", json_str("table1")),
         ("scale", config.scale.to_string()),
         ("seeds", json_array(&seeds_json)),
-        ("mark_threads", mark_threads.to_string()),
         ("results", table.text_table().to_json()),
     ]);
     json_out.write(&document).expect("write JSON report");

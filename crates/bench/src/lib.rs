@@ -19,6 +19,7 @@
 use std::fs;
 use std::io;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// The `--json <path>` output option shared by the table/figure binaries.
 ///
@@ -76,54 +77,52 @@ impl JsonOut {
     }
 }
 
-/// Extracts `--<flag> <value>` (or `--<flag>=<value>`) from `args`,
-/// removing the consumed elements; returns the last occurrence's value.
+/// The positional arguments of a table/figure binary.
 ///
-/// # Panics
-///
-/// Panics when the flag is present without a value.
-pub fn take_option(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let prefix = format!("{flag}=");
-    let mut value = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == flag {
-            assert!(i + 1 < args.len(), "{flag} requires a value argument");
-            args.remove(i);
-            value = Some(args.remove(i));
-        } else if let Some(v) = args[i].strip_prefix(&prefix) {
-            value = Some(v.to_string());
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    value
+/// An argument that does not parse, or one more than the binary takes, is
+/// a usage error: the binary exits with status 2 and prints its usage line
+/// instead of running with a default in the argument's place.
+#[derive(Clone, Debug)]
+pub struct Positionals {
+    args: Vec<String>,
+    usage: &'static str,
 }
 
-/// Parses the `--mark-threads <n>` option shared by the benchmark
-/// binaries; absent means 1 (serial marking).
-///
-/// # Panics
-///
-/// Panics when the value is not an integer in
-/// `1..=`[`MAX_MARK_THREADS`](gc_core::MAX_MARK_THREADS), the most workers
-/// the collector runs.
-pub fn take_mark_threads(args: &mut Vec<String>) -> u32 {
-    match take_option(args, "--mark-threads") {
-        None => 1,
-        Some(v) => {
-            let n: u32 = v
-                .parse()
-                .unwrap_or_else(|_| panic!("--mark-threads needs a number, got {v:?}"));
-            assert!(n >= 1, "--mark-threads must be at least 1");
-            assert!(
-                n <= gc_core::MAX_MARK_THREADS,
-                "--mark-threads must be at most {}",
-                gc_core::MAX_MARK_THREADS
-            );
-            n
+impl Positionals {
+    /// Checks `args` (with `--json` already stripped) against a binary that
+    /// takes at most `max` positional arguments, described by `usage`.
+    pub fn new(args: Vec<String>, max: usize, usage: &'static str) -> Self {
+        let p = Positionals { args, usage };
+        if let Some(extra) = p.args.get(max) {
+            p.fail(&format!("unexpected argument {extra:?}"));
         }
+        p
+    }
+
+    /// Argument `i` parsed as `T`, or `None` when it is absent.
+    pub fn get<T: FromStr>(&self, i: usize) -> Option<T> {
+        self.parse(i).unwrap_or_else(|e| self.fail(&e))
+    }
+
+    /// Every argument from `i` on, each parsed as `T`.
+    pub fn rest<T: FromStr>(&self, i: usize) -> Vec<T> {
+        (i..self.args.len()).filter_map(|j| self.get(j)).collect()
+    }
+
+    /// Reports a usage error and exits with status 2.
+    pub fn fail(&self, message: &str) -> ! {
+        eprintln!("error: {message}\nusage: {}", self.usage);
+        std::process::exit(2)
+    }
+
+    fn parse<T: FromStr>(&self, i: usize) -> Result<Option<T>, String> {
+        self.args
+            .get(i)
+            .map(|s| {
+                s.parse()
+                    .map_err(|_| format!("cannot parse argument {s:?}"))
+            })
+            .transpose()
     }
 }
 
@@ -178,34 +177,23 @@ mod tests {
     }
 
     #[test]
-    fn take_option_strips_both_spellings() {
-        let mut a = args(&["4", "--mark-threads", "8", "7"]);
-        assert_eq!(take_option(&mut a, "--mark-threads"), Some("8".into()));
-        assert_eq!(a, args(&["4", "7"]));
-
-        let mut a = args(&["--mark-threads=2"]);
-        assert_eq!(take_mark_threads(&mut a), 2);
-        assert!(a.is_empty());
-
-        let mut a = args(&["classic"]);
-        assert_eq!(take_mark_threads(&mut a), 1);
-        assert_eq!(a, args(&["classic"]));
-    }
-
-    #[test]
-    #[should_panic(expected = "needs a number")]
-    fn mark_threads_rejects_garbage() {
-        take_mark_threads(&mut args(&["--mark-threads", "lots"]));
-    }
-
-    #[test]
-    #[should_panic(expected = "--mark-threads must be at most 16")]
-    fn mark_threads_rejects_more_than_the_collector_runs() {
-        assert_eq!(
-            take_mark_threads(&mut args(&["--mark-threads", "16"])),
-            gc_core::MAX_MARK_THREADS
+    fn positionals_parse_or_report_the_bad_argument() {
+        let p = Positionals::new(
+            args(&["40", "7", "--mark-threads"]),
+            3,
+            "t [scale [seed...]]",
         );
-        take_mark_threads(&mut args(&["--mark-threads", "100"]));
+        assert_eq!(p.parse::<u32>(0), Ok(Some(40)));
+        assert_eq!(p.parse::<u64>(1), Ok(Some(7)));
+        assert_eq!(p.parse::<u32>(3), Ok(None), "absent");
+        assert_eq!(
+            p.parse::<u32>(2),
+            Err("cannot parse argument \"--mark-threads\"".into())
+        );
+        assert_eq!(p.parse::<String>(2), Ok(Some("--mark-threads".into())));
+        assert_eq!(p.get::<u32>(0), Some(40));
+        let seeds = Positionals::new(args(&["40", "7", "9"]), usize::MAX, "t [scale [seed...]]");
+        assert_eq!(seeds.rest::<u64>(1), [7, 9]);
     }
 
     #[test]

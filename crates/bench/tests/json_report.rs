@@ -2,7 +2,8 @@
 //! `gcbench` binary, then verifies the emitted document's shape and the
 //! phase-timing invariants without a JSON library (field extraction by
 //! string scanning, which the hand-rolled emitter's stable key order
-//! makes reliable).
+//! makes reliable). The binaries also refuse an argument they cannot
+//! parse.
 
 use std::process::Command;
 
@@ -68,14 +69,13 @@ fn gcbench_json_report_is_complete_and_consistent() {
     }
 
     // Every snapshot's config keeps the defaults whatever the environment
-    // says.
-    for key in ["\"mark_threads\":1,", "\"lazy_sweep\":false}"] {
-        assert_eq!(
-            json.matches(key).count(),
-            snapshots,
-            "{key} in every config"
-        );
-    }
+    // says, and names no mark-worker count (schema 11).
+    assert_eq!(
+        json.matches("\"lazy_sweep\":false}").count(),
+        snapshots,
+        "\"lazy_sweep\":false in every config"
+    );
+    assert!(!json.contains("\"mark_threads\""), "no mark_threads key");
 
     // Phase-sum invariant: every last-collection record's phases fit in
     // its recorded total duration.
@@ -129,4 +129,18 @@ fn table1_json_report_carries_result_rows() {
     ] {
         assert!(json.contains(key), "missing {key} in {json}");
     }
+}
+
+#[test]
+fn table1_rejects_an_argument_it_cannot_parse() {
+    let out = Command::new(env!("CARGO_BIN_EXE_table1"))
+        .args(["--mark-threads", "4"])
+        .output()
+        .expect("table1 runs");
+    assert_eq!(out.status.code(), Some(2), "a usage error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("cannot parse argument \"--mark-threads\"") && stderr.contains("usage:"),
+        "{stderr}"
+    );
 }

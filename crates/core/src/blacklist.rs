@@ -148,20 +148,7 @@ impl Blacklist {
 
     /// Records a false reference to `page` observed during marking.
     pub fn note_false_ref(&mut self, page: PageIdx, source: RootClass) {
-        self.note_false_refs(page, source, 1);
-    }
-
-    /// Records `count` false references to the same `page` at once — the
-    /// bulk form used when merging a parallel mark phase's per-worker
-    /// buffers. Equivalent to `count` calls of
-    /// [`note_false_ref`](Self::note_false_ref): `total_noted` advances by
-    /// `count`, while the per-page entry is updated once (noting is
-    /// idempotent within a cycle).
-    pub fn note_false_refs(&mut self, page: PageIdx, source: RootClass, count: u64) {
-        if count == 0 {
-            return;
-        }
-        self.total_noted += count;
+        self.total_noted += 1;
         match &mut self.store {
             Store::Exact(map) => {
                 let gc_no = self.gc_no;
@@ -345,27 +332,6 @@ mod tests {
             RootClass::Environ
         );
         assert_eq!(RootClass::of_segment(SegmentKind::Heap), RootClass::Heap);
-    }
-
-    #[test]
-    fn bulk_noting_matches_repeated_noting() {
-        let mut bulk = Blacklist::new(BlacklistKind::Exact, 1);
-        let mut repeated = Blacklist::new(BlacklistKind::Exact, 1);
-        bulk.begin_cycle(1);
-        repeated.begin_cycle(1);
-        bulk.note_false_refs(PageIdx::new(7), RootClass::Heap, 3);
-        for _ in 0..3 {
-            repeated.note_false_ref(PageIdx::new(7), RootClass::Heap);
-        }
-        bulk.end_cycle();
-        repeated.end_cycle();
-        assert_eq!(bulk.total_noted(), repeated.total_noted());
-        assert_eq!(bulk.pages(), repeated.pages());
-        assert_eq!(bulk.source_of(PageIdx::new(7)), Some(RootClass::Heap));
-        // A zero count is a no-op.
-        bulk.note_false_refs(PageIdx::new(9), RootClass::Heap, 0);
-        assert!(!bulk.contains(PageIdx::new(9)));
-        assert_eq!(bulk.total_noted(), 3);
     }
 
     #[test]

@@ -2,10 +2,9 @@
 
 use crate::{
     mark::{MarkOutcome, Marker},
-    par_mark,
     telemetry::{self, GcEvent, PhaseTimes},
     Blacklist, CollectKind, CollectReason, CollectRequest, CollectionStats, Finalizers, GcConfig,
-    GcError, GcStats, MarkWorkerStats, ParallelMarkStats, Retainer, RootClass, MAX_MARK_THREADS,
+    GcError, GcStats, Retainer,
 };
 use gc_heap::{
     Descriptor, DescriptorId, Heap, HeapError, LazySweepStats, ObjRef, ObjectKind, PageUse,
@@ -81,10 +80,6 @@ pub struct Collector {
     /// count it was computed for, so the allocation path divides only
     /// when the heap has grown or shrunk.
     trigger: (u32, u64),
-    /// Mark workers for a stop-the-world collection, worked out once:
-    /// [`GcConfig::mark_threads`] clamped into `1..=MAX_MARK_THREADS`
-    /// and, unless forced, to the machine's cores.
-    mark_workers: u32,
 }
 
 /// How a cycle began: what [`Collector::begin_cycle`] hands the shared
@@ -127,20 +122,6 @@ impl Collector {
             !(config.generational && config.incremental),
             "generational and incremental modes are mutually exclusive"
         );
-        let requested = config.mark_threads.clamp(1, MAX_MARK_THREADS);
-        // Never oversubscribe the machine: a stop-world mark is pure CPU,
-        // so workers beyond the available cores only time-slice against
-        // each other and turn every steal into a context switch. On a
-        // single-core host a requested parallel mark therefore runs the
-        // serial drain (no thread spawned, no sharing overhead) and
-        // reports it as one parallel worker, keeping stats and events
-        // shaped the same across machines.
-        let mark_workers = if requested == 1 || config.mark_threads_force {
-            requested
-        } else {
-            let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-            requested.min(cores as u32)
-        };
         Collector {
             heap: Heap::new(config.heap.clone()),
             blacklist: Blacklist::new(config.blacklist_kind, config.blacklist_ttl),
@@ -153,7 +134,6 @@ impl Collector {
             lazy_reported: LazySweepStats::default(),
             allocs_at_last_collect: (0, 0),
             trigger: (u32::MAX, 0),
-            mark_workers,
             space,
             config,
         }
@@ -571,11 +551,11 @@ impl Collector {
         // tracing the increments started.
         let t0 = Instant::now();
         let mut marker = Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
-        marker.scan_dirty_pages(true);
+        marker.scan_dirty_pages();
         marker.run();
         state.out.merge(marker.out);
         state.phases.mark += t0.elapsed();
-        Some(self.finish_cycle(state.cycle, state.out, state.phases, None, Some(t0)))
+        Some(self.finish_cycle(state.cycle, state.out, state.phases, Some(t0)))
     }
 
     /// Records one bounded pause of an incremental cycle.
@@ -621,91 +601,26 @@ impl Collector {
         let cycle = self.begin_cycle(kind, reason);
         let minor = kind == CollectKind::Minor;
         let mut phases = PhaseTimes::default();
-        let threads = self.mark_workers;
-        let mut workers = Vec::new();
-        let mut acc;
-        {
-            // Root-scan phase: conservative scan of every root segment;
-            // found objects stay on the mark stack. Always serial — roots
-            // carry provenance (which segment class blacklists a page), so
-            // they are scanned before workers fan out. Building the marker
-            // counts here too, so the four phases cover the pause.
-            let t_phase = Instant::now();
-            let mut marker =
-                Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
-            if minor {
-                marker = marker.minor();
-            }
-            marker.run_roots_only();
-            phases.root_scan = t_phase.elapsed();
-            // Mark phase: transitive tracing, plus the generational
-            // remembered set (old objects on dirty pages).
-            let t_phase = Instant::now();
-            if threads > 1 {
-                // Seed the drain with everything the serial scans found:
-                // root-reachable objects, and in minor mode the old objects
-                // on dirty pages (scanned but not drained).
-                if minor {
-                    marker.scan_dirty_pages(false);
-                }
-                let seeds = marker.take_stack();
-                let vicinity = marker.vicinity();
-                acc = marker.out;
-                drop(marker);
-                let par = par_mark::par_drain(
-                    &self.space,
-                    &self.heap,
-                    &self.config,
-                    vicinity,
-                    minor,
-                    seeds,
-                    threads as usize,
-                );
-                acc.merge(par.out);
-                // Merge the workers' blacklist candidates in page order:
-                // deterministic regardless of how work was scheduled.
-                for &(page, count) in &par.false_pages {
-                    self.blacklist
-                        .note_false_refs(PageIdx::new(page), RootClass::Heap, count);
-                }
-                workers = par.workers;
-            } else {
-                // Serial drain — either marking is configured serial, or a
-                // parallel mark was requested on a single-core machine,
-                // where the cheapest correct "parallel" drain *is* the
-                // serial one. In the latter case the drain is still
-                // reported as one parallel worker so telemetry keeps its
-                // shape across machines.
-                let before = marker.out;
-                let t_drain = Instant::now();
-                marker.drain_all();
-                if minor {
-                    marker.scan_dirty_pages(true);
-                }
-                acc = marker.out;
-                if self.config.mark_threads > 1 {
-                    workers.push(MarkWorkerStats {
-                        objects_marked: acc.objects_marked - before.objects_marked,
-                        bytes_marked: acc.bytes_marked - before.bytes_marked,
-                        stolen: 0,
-                        duration: t_drain.elapsed(),
-                    });
-                }
-            }
-            phases.mark = t_phase.elapsed();
+        // Root-scan phase: conservative scan of every root segment; found
+        // objects stay on the mark stack. Building the marker counts here
+        // too, so the four phases cover the pause.
+        let t_phase = Instant::now();
+        let mut marker = Marker::new(&self.space, &self.heap, &mut self.blacklist, &self.config);
+        if minor {
+            marker = marker.minor();
         }
-        for (i, w) in workers.iter().enumerate() {
-            self.emit(|| GcEvent::MarkWorker {
-                gc_no: cycle.gc_no,
-                worker: i as u32,
-                objects_marked: w.objects_marked,
-                bytes_marked: w.bytes_marked,
-                stolen: w.stolen,
-                duration: w.duration,
-            });
+        marker.run_roots_only();
+        phases.root_scan = t_phase.elapsed();
+        // Mark phase: transitive tracing, plus the generational
+        // remembered set (old objects on dirty pages).
+        let t_phase = Instant::now();
+        marker.drain_all();
+        if minor {
+            marker.scan_dirty_pages();
         }
-        let parallel_mark = (!workers.is_empty()).then(|| ParallelMarkStats::new(&workers));
-        self.finish_cycle(cycle, acc, phases, parallel_mark, None)
+        let out = marker.out;
+        phases.mark = t_phase.elapsed();
+        self.finish_cycle(cycle, out, phases, None)
     }
 
     /// The end every cycle shares, after its marking: finalizer
@@ -718,7 +633,6 @@ impl Collector {
         cycle: Cycle,
         mut out: MarkOutcome,
         mut phases: PhaseTimes,
-        parallel_mark: Option<ParallelMarkStats>,
         pause_start: Option<Instant>,
     ) -> CollectionStats {
         let minor = cycle.kind == CollectKind::Minor;
@@ -775,7 +689,6 @@ impl Collector {
             slow_path_allocs,
             sweep,
             phases,
-            parallel_mark,
             duration,
         };
         self.stats.record(c);

@@ -109,10 +109,6 @@ pub enum BlacklistKind {
     },
 }
 
-/// Ceiling on [`GcConfig::mark_threads`]: per-worker statistics are kept in
-/// fixed-size (`Copy`) arrays inside [`CollectionStats`](crate::CollectionStats).
-pub const MAX_MARK_THREADS: u32 = 16;
-
 /// Full collector configuration.
 ///
 /// The defaults correspond to the paper's evaluated collector: blacklisting
@@ -178,13 +174,10 @@ pub struct GcConfig {
     pub incremental: bool,
     /// Objects traced per increment in incremental mode.
     pub incremental_budget: u32,
-    /// Mark-phase worker threads for stop-the-world (full and minor)
-    /// collections. `1` (the default) is the existing serial marker;
-    /// `2..=`[`MAX_MARK_THREADS`] runs a work-stealing parallel drain that
-    /// is bit-identical to serial marking — same mark set, counters,
-    /// blacklist contents and dump output. Values are clamped into
-    /// `1..=MAX_MARK_THREADS`. Incremental tracing increments are always
-    /// serial (they are budgeted mutator pauses, not a throughput phase).
+    /// Has no effect: every collection marks serially, as figure 2 does.
+    /// The field remains only because the benchmark assigns it
+    /// (`perfbench/src/main.rs:94`, `perfbench/src/workloads.rs:394`); it
+    /// goes with the benchmark change of ROADMAP item 2.
     pub mark_threads: u32,
     /// Where each small block's sweep runs: in the collection pause
     /// (`false`, the default, as the paper's collector does), or when the
@@ -206,12 +199,9 @@ pub struct GcConfig {
     /// (`perfbench/src/main.rs:96`, `perfbench/src/workloads.rs:397`); it
     /// goes with the benchmark change of ROADMAP item 2.
     pub resolve_cache: bool,
-    /// Spawn exactly [`mark_threads`](GcConfig::mark_threads) workers even
-    /// when that exceeds the machine's available cores. Normally the
-    /// collector clamps the worker count to the cores present (an
-    /// oversubscribed stop-world mark only adds context switches); tests
-    /// force the full count so multi-worker racing is exercised on any
-    /// host.
+    /// Has no effect, like [`mark_threads`](GcConfig::mark_threads); it
+    /// remains only because the benchmark assigns it
+    /// (`perfbench/src/main.rs:95`).
     pub mark_threads_force: bool,
     /// Telemetry sink receiving the collector's [`GcEvent`](crate::GcEvent)
     /// stream (collections, allocation slow paths, heap and blacklist
@@ -262,8 +252,7 @@ impl GcConfig {
     ///
     /// Struct-literal construction stays available for tests that want to
     /// build configurations directly; the builder is for call sites that
-    /// want nonsense (zero worker counts, zero budgets, contradictory
-    /// modes) rejected with a [`GcError::InvalidConfig`] instead of a
+    /// want nonsense (zero budgets, contradictory modes) rejected with a [`GcError::InvalidConfig`] instead of a
     /// runtime panic or a silent clamp.
     ///
     /// ```
@@ -275,7 +264,7 @@ impl GcConfig {
     ///     .build()
     ///     .expect("valid configuration");
     /// assert!(config.generational && config.lazy_sweep);
-    /// assert!(GcConfig::builder().mark_threads(0).build().is_err());
+    /// assert!(GcConfig::builder().incremental_budget(0).build().is_err());
     /// ```
     pub fn builder() -> GcConfigBuilder {
         GcConfigBuilder {
@@ -344,15 +333,9 @@ impl GcConfigBuilder {
         /// Sets the tracing increment size. See
         /// [`GcConfig::incremental_budget`].
         incremental_budget: u32,
-        /// Sets the mark-phase worker count. See
-        /// [`GcConfig::mark_threads`].
-        mark_threads: u32,
         /// Enables lazy (allocation-driven) sweeping. See
         /// [`GcConfig::lazy_sweep`].
         lazy_sweep: bool,
-        /// Forces the exact worker count. See
-        /// [`GcConfig::mark_threads_force`].
-        mark_threads_force: bool,
         /// Sets the telemetry sink. See [`GcConfig::observer`].
         observer: Option<SharedObserver>,
     }
@@ -362,17 +345,12 @@ impl GcConfigBuilder {
     /// # Errors
     ///
     /// Returns [`GcError::InvalidConfig`] when the configuration is
-    /// internally inconsistent: zero mark threads (or more than
-    /// [`MAX_MARK_THREADS`]), zero-valued collection pacing
+    /// internally inconsistent: zero-valued collection pacing
     /// (`free_space_divisor`, `full_gc_every`, `incremental_budget`), or
     /// generational and incremental modes enabled together.
     pub fn build(self) -> Result<GcConfig, GcError> {
         let c = &self.config;
-        let reason = if c.mark_threads == 0 {
-            Some("mark_threads must be at least 1")
-        } else if c.mark_threads > MAX_MARK_THREADS {
-            Some("mark_threads exceeds MAX_MARK_THREADS")
-        } else if c.free_space_divisor == 0 {
+        let reason = if c.free_space_divisor == 0 {
             Some("free_space_divisor must be at least 1")
         } else if c.full_gc_every == 0 {
             Some("full_gc_every must be at least 1")
@@ -402,7 +380,6 @@ mod tests {
         assert_eq!(c.pointer_policy, PointerPolicy::AllInterior);
         assert_eq!(c.scan_alignment, ScanAlignment::Word);
         assert!(c.allow_atomic_on_blacklist);
-        assert_eq!(c.mark_threads, 1, "serial marking, as in figure 2");
         assert!(!c.lazy_sweep, "eager sweep inside the pause");
     }
 
@@ -447,7 +424,6 @@ mod tests {
             .blacklisting(false)
             .generational(true)
             .full_gc_every(3)
-            .mark_threads(4)
             .lazy_sweep(true)
             .heap(HeapConfig {
                 growth_pages: 7,
@@ -460,21 +436,12 @@ mod tests {
         assert!(!c.blacklisting);
         assert!(c.generational && c.lazy_sweep);
         assert_eq!(c.full_gc_every, 3);
-        assert_eq!(c.mark_threads, 4);
         assert_eq!(c.heap.growth_pages, 7, "the heap configuration is kept");
         assert_eq!(c.min_bytes_between_gcs, 1);
     }
 
     #[test]
     fn builder_rejects_each_nonsense_setting() {
-        assert_eq!(
-            rejection(GcConfig::builder().mark_threads(0)),
-            "mark_threads must be at least 1"
-        );
-        assert_eq!(
-            rejection(GcConfig::builder().mark_threads(MAX_MARK_THREADS + 1)),
-            "mark_threads exceeds MAX_MARK_THREADS"
-        );
         assert_eq!(
             rejection(GcConfig::builder().free_space_divisor(0)),
             "free_space_divisor must be at least 1"
@@ -495,9 +462,9 @@ mod tests {
 
     #[test]
     fn invalid_config_error_displays_its_reason() {
-        let err = GcConfig::builder().mark_threads(0).build().unwrap_err();
+        let err = GcConfig::builder().full_gc_every(0).build().unwrap_err();
         assert!(err.to_string().contains("invalid collector configuration"));
-        assert!(err.to_string().contains("mark_threads"));
+        assert!(err.to_string().contains("full_gc_every"));
     }
 
     #[test]

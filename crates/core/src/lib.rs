@@ -51,24 +51,17 @@ mod dump;
 mod error;
 mod finalize;
 mod mark;
-mod par_mark;
 mod stats;
 mod telemetry;
 mod trace;
-mod worksteal;
 
 pub(crate) use finalize::Finalizers;
 
 pub use blacklist::{Blacklist, RootClass};
 pub use collector::Collector;
-pub use config::{
-    BlacklistKind, GcConfig, GcConfigBuilder, PointerPolicy, ScanAlignment, MAX_MARK_THREADS,
-};
+pub use config::{BlacklistKind, GcConfig, GcConfigBuilder, PointerPolicy, ScanAlignment};
 pub use error::GcError;
-pub use stats::{
-    CollectKind, CollectReason, CollectRequest, CollectionStats, GcStats, MarkWorkerStats,
-    ParallelMarkStats,
-};
+pub use stats::{CollectKind, CollectReason, CollectRequest, CollectionStats, GcStats};
 pub use telemetry::{
     json_escape, observer, GcEvent, GcObserver, Histogram, JsonLinesSink, NullSink, PhaseTimes,
     RingBufferSink, SharedObserver, METRICS_SCHEMA_VERSION,

@@ -21,7 +21,7 @@
 //! allocation".
 
 use crate::{Blacklist, GcConfig, RootClass};
-use gc_heap::{Heap, MarkBit, MarkHit, ObjRef, ObjectKind};
+use gc_heap::{Heap, MarkHit, ObjRef, ObjectKind};
 use gc_vmspace::{Addr, AddressSpace, Endian, Segment, PAGE_BYTES};
 
 /// Counters produced by one mark phase.
@@ -38,7 +38,7 @@ pub(crate) struct MarkOutcome {
 
 impl MarkOutcome {
     /// Adds another outcome's counters into this one (accumulating across
-    /// marker instances, increments, or parallel workers).
+    /// marker instances and increments).
     pub(crate) fn merge(&mut self, other: MarkOutcome) {
         self.root_words += other.root_words;
         self.heap_words += other.heap_words;
@@ -54,9 +54,9 @@ impl MarkOutcome {
 /// `consider`; returns the number of words examined (the caller's
 /// `heap_words` contribution).
 ///
-/// This is **the** object-scan kernel: the serial drain, the budgeted
-/// incremental drain, the dirty-page rescan, and the parallel workers all
-/// route through it, so every scan path agrees on
+/// This is **the** object-scan kernel: the drain, the budgeted
+/// incremental drain and the dirty-page rescan all route through it, so
+/// every scan path agrees on
 ///
 /// * the typed fast path — an object with a registered
 ///   [`Descriptor`](gc_heap::Descriptor) has only its declared pointer
@@ -124,8 +124,7 @@ pub(crate) fn scan_object_fields(
 ///
 /// The heap is held by shared reference: marking's only heap write is the
 /// mark bit, which the heap's mark kernel ([`Heap::mark_candidate`]) sets
-/// with a plain load and store ([`MarkBit::Single`] — exactly equivalent to
-/// `&mut` marking while one thread marks, which is always the case here).
+/// with a plain load and store (exact, since one marker runs at a time).
 /// That is what lets the scan loops borrow descriptors and page iterators
 /// straight from the heap with no per-object allocation.
 ///
@@ -199,12 +198,6 @@ impl<'a> Marker<'a> {
         self
     }
 
-    /// The heap-vicinity bounds `[lo, hi)` this marker blacklists within,
-    /// for handing to a parallel drain over the same frozen heap.
-    pub(crate) fn vicinity(&self) -> (u64, u64) {
-        (self.vic_lo, self.vic_hi)
-    }
-
     /// Scans the fields of composite objects on the heap's dirty pages, in
     /// ascending page order. A minor marker scans the old ones: the
     /// generational remembered set. Otherwise it scans the *marked* ones:
@@ -212,13 +205,9 @@ impl<'a> Marker<'a> {
     /// unmarked object on a dirty page is not known reachable, and
     /// scanning it would retain whatever it points to. Rescanning only
     /// marked ones is enough: every black object written after its scan
-    /// lies on a dirty page, and the finish rescans the roots.
-    ///
-    /// With `drain`, the stack is drained after each page. Without it the
-    /// found objects stay on the stack, seeding a parallel drain; both
-    /// reach the same fixed point, since every counter totals per object
-    /// scan and each scan happens exactly once either way.
-    pub(crate) fn scan_dirty_pages(&mut self, drain: bool) {
+    /// lies on a dirty page, and the finish rescans the roots. The stack
+    /// is drained after each page.
+    pub(crate) fn scan_dirty_pages(&mut self) {
         let heap = self.heap;
         for page in heap.dirty_pages() {
             for obj in heap.objects_on_page(page) {
@@ -231,9 +220,7 @@ impl<'a> Marker<'a> {
                     self.scan(obj);
                 }
             }
-            if drain {
-                self.drain_all();
-            }
+            self.drain_all();
         }
     }
 
@@ -290,9 +277,7 @@ impl<'a> Marker<'a> {
     /// from it (used to resurrect finalizable objects). Not a candidate:
     /// no pointer policy and no candidate counters.
     pub(crate) fn mark_object(&mut self, addr: Addr) {
-        let hit = self
-            .heap
-            .mark_candidate(addr, self.minor, |_| true, MarkBit::Single);
+        let hit = self.heap.mark_candidate(addr, self.minor, |_| true);
         if let MarkHit::Newly(obj) = hit {
             self.push_marked(obj);
         }
@@ -334,10 +319,7 @@ impl<'a> Marker<'a> {
         let addr = Addr::new(value);
         let policy = self.config.pointer_policy;
         let accept = |base| policy.accepts(addr, base);
-        match self
-            .heap
-            .mark_candidate(addr, self.minor, accept, MarkBit::Single)
-        {
+        match self.heap.mark_candidate(addr, self.minor, accept) {
             MarkHit::Invalid => {
                 // p is not a valid object address but is in the vicinity of
                 // the heap: blacklist it.

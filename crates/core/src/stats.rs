@@ -1,6 +1,5 @@
 //! Collector statistics.
 
-use crate::config::MAX_MARK_THREADS;
 use crate::telemetry::{Histogram, PhaseTimes};
 use gc_heap::SweepStats;
 use std::fmt;
@@ -68,61 +67,6 @@ impl fmt::Display for CollectReason {
     }
 }
 
-/// One worker's share of a parallel mark phase.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MarkWorkerStats {
-    /// Objects this worker won the race to mark.
-    pub objects_marked: u64,
-    /// Bytes of those objects.
-    pub bytes_marked: u64,
-    /// Work items this worker stole from other workers' deques.
-    pub stolen: u64,
-    /// Wall-clock time this worker spent in its drain loop.
-    pub duration: Duration,
-}
-
-/// Per-worker breakdown of one parallel mark phase.
-///
-/// Kept `Copy` (like the [`CollectionStats`] that embeds it) by bounding
-/// the worker array at [`MAX_MARK_THREADS`](crate::MAX_MARK_THREADS).
-/// Worker *totals* are scheduling-independent; the per-worker split is the
-/// one part of the statistics that legitimately varies run to run.
-#[derive(Clone, Copy, Debug)]
-pub struct ParallelMarkStats {
-    workers: u32,
-    stats: [MarkWorkerStats; MAX_MARK_THREADS as usize],
-}
-
-impl ParallelMarkStats {
-    pub(crate) fn new(per_worker: &[MarkWorkerStats]) -> Self {
-        assert!(
-            per_worker.len() <= MAX_MARK_THREADS as usize,
-            "worker count exceeds MAX_MARK_THREADS"
-        );
-        let mut stats = [MarkWorkerStats::default(); MAX_MARK_THREADS as usize];
-        stats[..per_worker.len()].copy_from_slice(per_worker);
-        ParallelMarkStats {
-            workers: per_worker.len() as u32,
-            stats,
-        }
-    }
-
-    /// Number of workers that ran.
-    pub fn workers(&self) -> u32 {
-        self.workers
-    }
-
-    /// The per-worker statistics, one entry per worker in worker order.
-    pub fn worker_stats(&self) -> &[MarkWorkerStats] {
-        &self.stats[..self.workers as usize]
-    }
-
-    /// Total steals across all workers.
-    pub fn total_stolen(&self) -> u64 {
-        self.worker_stats().iter().map(|w| w.stolen).sum()
-    }
-}
-
 /// Statistics of one collection cycle.
 #[derive(Clone, Copy, Debug)]
 pub struct CollectionStats {
@@ -175,9 +119,6 @@ pub struct CollectionStats {
     /// The phase sum is bounded by [`duration`](CollectionStats::duration);
     /// the remainder is inter-phase bookkeeping.
     pub phases: PhaseTimes,
-    /// Per-worker breakdown of the mark phase when it ran in parallel
-    /// (`mark_threads > 1`); `None` for serial and incremental marking.
-    pub parallel_mark: Option<ParallelMarkStats>,
     /// Wall-clock duration of the whole cycle.
     pub duration: Duration,
 }
@@ -286,7 +227,6 @@ mod tests {
             slow_path_allocs: 0,
             sweep: SweepStats::default(),
             phases: PhaseTimes::default(),
-            parallel_mark: None,
             duration: Duration::from_micros(10),
         }
     }
@@ -302,45 +242,6 @@ mod tests {
         assert_eq!(s.last.expect("recorded").gc_no, 2);
         assert_eq!(s.total_gc_time, Duration::from_micros(20));
         assert_eq!(s.max_objects_marked, 7);
-    }
-
-    #[test]
-    fn parallel_mark_stats_bound_and_report() {
-        let per_worker = [
-            MarkWorkerStats {
-                objects_marked: 10,
-                bytes_marked: 80,
-                stolen: 2,
-                duration: Duration::from_micros(5),
-            },
-            MarkWorkerStats {
-                objects_marked: 4,
-                bytes_marked: 32,
-                stolen: 0,
-                duration: Duration::from_micros(3),
-            },
-        ];
-        let p = ParallelMarkStats::new(&per_worker);
-        assert_eq!(p.workers(), 2);
-        assert_eq!(p.worker_stats(), &per_worker);
-        assert_eq!(p.total_stolen(), 2);
-        // CollectionStats must stay Copy with the new field embedded.
-        let c = CollectionStats {
-            parallel_mark: Some(p),
-            ..sample(1)
-        };
-        let c2 = c;
-        assert_eq!(
-            c.parallel_mark.unwrap().workers(),
-            c2.parallel_mark.unwrap().workers()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds MAX_MARK_THREADS")]
-    fn parallel_mark_stats_reject_oversized_fleets() {
-        let too_many = vec![MarkWorkerStats::default(); MAX_MARK_THREADS as usize + 1];
-        ParallelMarkStats::new(&too_many);
     }
 
     #[test]

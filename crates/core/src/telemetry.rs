@@ -72,7 +72,12 @@ use std::time::Duration;
 /// fields of `last_collection` and of the `collection_end` event. The mark
 /// phase keeps no resolve cache; each candidate in range is one page-table
 /// read, so `candidates_in_range` is the lookup count.
-pub const METRICS_SCHEMA_VERSION: u32 = 10;
+///
+/// Version 11 removed the version-2 parallel-mark telemetry that was still
+/// rendered: the `mark_threads` config field and
+/// `last_collection.parallel_mark`. Every collection marks serially, so no
+/// `mark_worker` event is emitted either.
+pub const METRICS_SCHEMA_VERSION: u32 = 11;
 
 // ---------------------------------------------------------------------------
 // Phase timings
@@ -216,20 +221,15 @@ pub enum GcEvent {
         /// pause.
         duration: Duration,
     },
-    /// One worker's share of a parallel mark phase (`mark_threads > 1`).
-    /// Emitted once per worker, in worker order, after the drain's barrier.
+    /// Never emitted: every collection marks serially. The variant, with
+    /// the fields the benchmark's probe matches (`perfbench/src/probe.rs`),
+    /// remains only until the benchmark change of ROADMAP item 2.
     MarkWorker {
-        /// Collection whose mark phase the worker served.
+        /// Collection number.
         gc_no: u64,
-        /// Worker index, `0..mark_threads`.
-        worker: u32,
-        /// Objects this worker won the race to mark.
-        objects_marked: u64,
-        /// Bytes of those objects.
-        bytes_marked: u64,
-        /// Work items stolen from other workers' deques.
+        /// Always 0.
         stolen: u64,
-        /// Wall-clock time the worker spent draining.
+        /// Always zero.
         duration: Duration,
     },
 }
@@ -328,14 +328,11 @@ impl GcEvent {
             }
             GcEvent::MarkWorker {
                 gc_no,
-                worker,
-                objects_marked,
-                bytes_marked,
                 stolen,
                 duration,
             } => {
                 fields.push_str(&format!(
-                    ",\"gc_no\":{gc_no},\"worker\":{worker},\"objects_marked\":{objects_marked},\"bytes_marked\":{bytes_marked},\"stolen\":{stolen},\"duration_ns\":{}",
+                    ",\"gc_no\":{gc_no},\"stolen\":{stolen},\"duration_ns\":{}",
                     duration.as_nanos()
                 ));
             }
@@ -726,33 +723,6 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Renders the parallel-mark breakdown of a collection, or `null` for
-/// serial marking.
-fn parallel_mark_json(p: Option<&crate::ParallelMarkStats>) -> String {
-    let Some(p) = p else {
-        return "null".to_string();
-    };
-    let workers: Vec<String> = p
-        .worker_stats()
-        .iter()
-        .map(|w| {
-            format!(
-                "{{\"objects_marked\":{},\"bytes_marked\":{},\"stolen\":{},\"duration_ns\":{}}}",
-                w.objects_marked,
-                w.bytes_marked,
-                w.stolen,
-                w.duration.as_nanos(),
-            )
-        })
-        .collect();
-    format!(
-        "{{\"workers\":{},\"total_stolen\":{},\"worker_stats\":[{}]}}",
-        p.workers(),
-        p.total_stolen(),
-        workers.join(","),
-    )
-}
-
 /// Builds the versioned JSON metrics snapshot for
 /// [`Collector::metrics_json`](crate::Collector::metrics_json).
 pub(crate) fn metrics_json(gc: &Collector) -> String {
@@ -773,12 +743,11 @@ pub(crate) fn metrics_json(gc: &Collector) -> String {
         stats.max_increment_pause.as_nanos(),
     );
 
-    // The most recent collection in full, including its phase breakdown
-    // and (when the mark phase ran in parallel) the per-worker split.
+    // The most recent collection in full, including its phase breakdown.
     let last = match &stats.last {
         None => "null".to_string(),
         Some(c) => format!(
-            "{{\"gc_no\":{},\"kind\":\"{}\",\"reason\":\"{}\",\"phases\":{},\"duration_ns\":{},\"root_words_scanned\":{},\"heap_words_scanned\":{},\"candidates_in_range\":{},\"valid_pointers\":{},\"false_refs_near_heap\":{},\"newly_blacklisted\":{},\"objects_marked\":{},\"bytes_marked\":{},\"finalizers_ready\":{},\"fast_path_allocs\":{},\"slow_path_allocs\":{},\"objects_freed\":{},\"bytes_freed\":{},\"blocks_deferred\":{},\"parallel_mark\":{}}}",
+            "{{\"gc_no\":{},\"kind\":\"{}\",\"reason\":\"{}\",\"phases\":{},\"duration_ns\":{},\"root_words_scanned\":{},\"heap_words_scanned\":{},\"candidates_in_range\":{},\"valid_pointers\":{},\"false_refs_near_heap\":{},\"newly_blacklisted\":{},\"objects_marked\":{},\"bytes_marked\":{},\"finalizers_ready\":{},\"fast_path_allocs\":{},\"slow_path_allocs\":{},\"objects_freed\":{},\"bytes_freed\":{},\"blocks_deferred\":{}}}",
             c.gc_no,
             c.kind,
             c.reason,
@@ -798,7 +767,6 @@ pub(crate) fn metrics_json(gc: &Collector) -> String {
             c.sweep.objects_freed,
             c.sweep.bytes_freed,
             c.sweep.blocks_deferred,
-            parallel_mark_json(c.parallel_mark.as_ref()),
         ),
     };
 
@@ -848,12 +816,11 @@ pub(crate) fn metrics_json(gc: &Collector) -> String {
     );
 
     let config_summary = format!(
-        "{{\"pointer_policy\":\"{}\",\"scan_alignment\":\"{}\",\"generational\":{},\"incremental\":{},\"mark_threads\":{},\"lazy_sweep\":{}}}",
+        "{{\"pointer_policy\":\"{}\",\"scan_alignment\":\"{}\",\"generational\":{},\"incremental\":{},\"lazy_sweep\":{}}}",
         config.pointer_policy,
         config.scan_alignment,
         config.generational,
         config.incremental,
-        config.mark_threads,
         config.lazy_sweep,
     );
 

@@ -342,147 +342,6 @@ proptest! {
     }
 }
 
-/// A richer graph for the parallel-marking properties: objects of varying
-/// size (so pointers sit at arbitrary interior offsets — "embedded links"),
-/// random edges (which freely form cycles, chains and queue-like shapes),
-/// and junk words aimed at the heap's vicinity so blacklisting has
-/// scheduling-sensitive work to get wrong.
-#[derive(Debug, Clone)]
-struct WideGraphSpec {
-    /// Field words per object (2..=6), defining its size and link offsets.
-    sizes: Vec<u8>,
-    edges: Vec<(usize, usize, u8)>,
-    roots: Vec<usize>,
-    /// Junk words written after the root slots; drawn from around the heap
-    /// range so some are false references and some get blacklisted.
-    junk: Vec<u32>,
-}
-
-fn arb_wide_graph() -> impl Strategy<Value = WideGraphSpec> {
-    (4usize..48).prop_flat_map(|n| {
-        (
-            proptest::collection::vec(2u8..=6, n..n + 1),
-            proptest::collection::vec((0..n, 0..n, 0u8..6), 0..n * 3),
-            proptest::collection::vec(0..n, 1..8),
-            proptest::collection::vec(0x1F_0000u32..0xB0_0000, 0..24),
-        )
-            .prop_map(|(sizes, edges, roots, junk)| WideGraphSpec {
-                sizes,
-                edges,
-                roots,
-                junk,
-            })
-    })
-}
-
-fn build_wide(gc: &mut Collector, spec: &WideGraphSpec) -> Vec<Addr> {
-    let objs: Vec<Addr> = spec
-        .sizes
-        .iter()
-        .map(|&w| gc.alloc(u32::from(w) * 4, ObjectKind::Composite).unwrap())
-        .collect();
-    for &(f, t, field) in &spec.edges {
-        let offset = u32::from(field % spec.sizes[f]) * 4;
-        gc.space_mut()
-            .write_u32(objs[f] + offset, objs[t].raw())
-            .unwrap();
-    }
-    for (i, &r) in spec.roots.iter().enumerate() {
-        gc.space_mut()
-            .write_u32(Addr::new(DATA_BASE) + (i as u32) * 4, objs[r].raw())
-            .unwrap();
-    }
-    for (i, &j) in spec.junk.iter().enumerate() {
-        let slot = Addr::new(DATA_BASE) + (32 + i as u32) * 4;
-        gc.space_mut().write_u32(slot, j).unwrap();
-    }
-    objs
-}
-
-/// Everything a collection reports that must not depend on the worker
-/// count (durations and per-worker breakdowns are excluded by design).
-#[derive(Debug, PartialEq, Eq)]
-struct MarkFingerprint {
-    live: Vec<u32>,
-    blacklisted: Vec<u32>,
-    objects_marked: u64,
-    bytes_marked: u64,
-    root_words_scanned: u64,
-    heap_words_scanned: u64,
-    candidates_in_range: u64,
-    valid_pointers: u64,
-    false_refs_near_heap: u64,
-    newly_blacklisted: u32,
-}
-
-fn mark_fingerprint(gc: &Collector, stats: &gc_core::CollectionStats) -> MarkFingerprint {
-    let mut blacklisted: Vec<u32> = gc.blacklist().pages().iter().map(|p| p.raw()).collect();
-    blacklisted.sort_unstable();
-    MarkFingerprint {
-        live: live_set(gc),
-        blacklisted,
-        objects_marked: stats.objects_marked,
-        bytes_marked: stats.bytes_marked,
-        root_words_scanned: stats.root_words_scanned,
-        heap_words_scanned: stats.heap_words_scanned,
-        candidates_in_range: stats.candidates_in_range,
-        valid_pointers: stats.valid_pointers,
-        false_refs_near_heap: stats.false_refs_near_heap,
-        newly_blacklisted: stats.newly_blacklisted,
-    }
-}
-
-/// Builds the graph, collects twice (the second cycle re-marks a heap with
-/// established mark history and an aged blacklist), and fingerprints both.
-fn wide_trace(spec: &WideGraphSpec, threads: u32, force: bool) -> [MarkFingerprint; 2] {
-    let mut gc = collector_with(|c| {
-        c.mark_threads = threads;
-        c.mark_threads_force = force;
-    });
-    build_wide(&mut gc, spec);
-    let first = gc.collect();
-    let fp1 = mark_fingerprint(&gc, &first);
-    let second = gc.collect();
-    let fp2 = mark_fingerprint(&gc, &second);
-    [fp1, fp2]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Marking is invariant in `mark_threads`: over arbitrary object
-    /// graphs — cycles, queues, links embedded at any interior offset —
-    /// every observable of the collection (live set, counters, blacklist)
-    /// is identical for 1, 2 and 4 workers.
-    #[test]
-    fn marking_is_thread_count_invariant(spec in arb_wide_graph()) {
-        let serial = wide_trace(&spec, 1, false);
-        for threads in [2u32, 4] {
-            let parallel = wide_trace(&spec, threads, false);
-            prop_assert_eq!(
-                &serial, &parallel,
-                "{} mark threads diverged from serial", threads
-            );
-        }
-    }
-
-    /// The same property with the cores clamp disabled, so the compared
-    /// runs really race multiple workers even on a single-core host — the
-    /// strongest property-level check that scheduling cannot leak into
-    /// any observable result.
-    #[test]
-    fn forced_parallel_marking_is_thread_count_invariant(spec in arb_wide_graph()) {
-        let serial = wide_trace(&spec, 1, false);
-        for threads in [2u32, 4] {
-            let parallel = wide_trace(&spec, threads, true);
-            prop_assert_eq!(
-                &serial, &parallel,
-                "{} forced workers diverged from serial", threads
-            );
-        }
-    }
-}
-
 /// A typed+untyped object graph. Every object has `sizes[i]` field words;
 /// object `i` is *typed* iff `typed[i]`, in which case only the words
 /// whose bit is set in `masks[i]` (and that fall inside the object) are
@@ -595,26 +454,19 @@ proptest! {
     /// Exact reachability over typed+untyped graphs: with clean roots,
     /// precisely the model-reachable objects survive a full collection —
     /// typed data words never retain, typed pointer words always trace.
-    /// Holds identically for serial and forced-parallel marking (one
-    /// shared scan kernel).
     #[test]
     fn typed_graphs_exactly_reachable_survive(spec in arb_typed_graph()) {
         let expect = reachable_typed(&spec);
-        for (threads, force) in [(1u32, false), (4, true)] {
-            let mut gc = collector_with(|c| {
-                c.mark_threads = threads;
-                c.mark_threads_force = force;
-            });
-            let objs = build_typed(&mut gc, &spec);
-            gc.collect();
-            for (i, &obj) in objs.iter().enumerate() {
-                prop_assert_eq!(
-                    gc.is_live(obj),
-                    expect.contains(&i),
-                    "object {} (typed={}, threads={})",
-                    i, spec.typed[i], threads
-                );
-            }
+        let mut gc = collector_with(|_| {});
+        let objs = build_typed(&mut gc, &spec);
+        gc.collect();
+        for (i, &obj) in objs.iter().enumerate() {
+            prop_assert_eq!(
+                gc.is_live(obj),
+                expect.contains(&i),
+                "object {} (typed={})",
+                i, spec.typed[i]
+            );
         }
     }
 

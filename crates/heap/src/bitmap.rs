@@ -141,23 +141,21 @@ impl fmt::Debug for Bitmap {
 
 /// A fixed-length bitmap whose bits can be set through a shared reference.
 ///
-/// Used for per-block *mark* bits so parallel mark workers can test-and-set
-/// marks over `&Heap` without synchronizing on anything wider than one
-/// `AtomicU64` word. Serial paths keep the cheap non-atomic API through
-/// `&mut self` (which the borrow checker proves exclusive, so plain
-/// loads/stores via [`AtomicU64::get_mut`] are exact).
+/// Used for per-block *mark* bits, so the marker can set marks over
+/// `&Heap` while its scan loops hold descriptors borrowed from the same
+/// heap. Paths with `&mut self` (clearing, sweeping) use
+/// [`AtomicU64::get_mut`] directly.
 ///
-/// All atomic accesses are `Relaxed`: mark bits carry no data dependencies —
-/// workers publish their results through the scoped-thread join, which is
-/// already a full synchronization point.
+/// Every access is a `Relaxed` load or store: one marker runs at a time,
+/// so no read-modify-write is needed.
 ///
 /// # Example
 ///
 /// ```
 /// use gc_heap::AtomicBitmap;
 /// let b = AtomicBitmap::new(100);
-/// assert!(b.set_atomic(3), "first setter wins");
-/// assert!(!b.set_atomic(3), "already set");
+/// assert!(b.set_relaxed(3), "the bit was clear");
+/// assert!(!b.set_relaxed(3), "already set");
 /// assert!(b.get(3));
 /// assert_eq!(b.count_ones(), 1);
 /// ```
@@ -201,28 +199,12 @@ impl AtomicBitmap {
         self.words[(i / 64) as usize].load(Ordering::Relaxed) >> (i % 64) & 1 == 1
     }
 
-    /// Atomically sets bit `i`, returning `true` iff this call changed it
-    /// from 0 to 1 (i.e. the caller won the race to mark).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    #[inline]
-    pub fn set_atomic(&self, i: u32) -> bool {
-        self.check(i);
-        let mask = 1u64 << (i % 64);
-        let prev = self.words[(i / 64) as usize].fetch_or(mask, Ordering::Relaxed);
-        prev & mask == 0
-    }
-
     /// Sets bit `i` through a shared reference *without* an atomic
     /// read-modify-write, returning `true` iff the bit was clear.
     ///
-    /// Equivalent to [`set_atomic`](Self::set_atomic) only while a single
-    /// thread is setting bits: the load and store are separate, so two
-    /// racing callers could both observe 0 and both report `true`. The
-    /// single-worker mark drain uses this to skip the locked RMW cycle
-    /// that `fetch_or` costs on every newly marked object.
+    /// Exact only while a single thread is setting bits: the load and
+    /// store are separate, so two racing callers could both observe 0 and
+    /// both report `true`.
     ///
     /// # Panics
     ///
@@ -417,43 +399,13 @@ mod tests {
     }
 
     #[test]
-    fn atomic_test_and_set_reports_winner() {
-        let b = AtomicBitmap::new(70);
-        assert!(b.set_atomic(69), "first set transitions 0 -> 1");
-        assert!(!b.set_atomic(69), "second set sees the bit already on");
-        assert!(b.get(69));
-        assert_eq!(b.count_ones(), 1);
-    }
-
-    #[test]
-    fn relaxed_set_matches_atomic_semantics_single_threaded() {
+    fn relaxed_set_reports_a_clear_bit() {
         let b = AtomicBitmap::new(70);
         assert!(b.set_relaxed(69), "first set transitions 0 -> 1");
         assert!(!b.set_relaxed(69), "second set sees the bit already on");
-        assert!(!b.set_atomic(69), "agrees with the atomic view");
+        assert!(b.get(69));
         assert!(b.set_relaxed(3));
         assert_eq!(b.count_ones(), 2);
-    }
-
-    #[test]
-    fn atomic_concurrent_marking_counts_each_bit_once() {
-        // Core of the parallel-mark determinism argument: across racing
-        // setters, exactly one claims each bit.
-        let b = AtomicBitmap::new(512);
-        let won: u32 = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let b = &b;
-                    s.spawn(move || (0..512).filter(|&i| b.set_atomic(i)).count() as u32)
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker ok"))
-                .sum()
-        });
-        assert_eq!(won, 512, "every bit claimed exactly once");
-        assert_eq!(b.count_ones(), 512);
     }
 
     #[test]

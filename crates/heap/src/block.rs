@@ -95,9 +95,9 @@ pub struct Block {
     inv: u32,
     pub(crate) kind: ObjectKind,
     pub(crate) allocated: Bitmap,
-    /// Mark bits. Atomic so parallel mark workers can test-and-set through
-    /// `&Heap`; all serial paths use the `&mut` accessors, which compile to
-    /// plain loads and stores.
+    /// Mark bits, set through `&Heap` by the marker (whose scan loops
+    /// borrow from the heap while they mark); every other path uses the
+    /// `&mut` accessors.
     pub(crate) marked: AtomicBitmap,
     /// Generation bits for the sticky-mark-bit generational mode (one per
     /// slot): objects that survived a collection are *old*; minor

@@ -117,16 +117,6 @@ impl PageTable {
     }
 }
 
-/// How [`Heap::mark_candidate`] sets a mark bit.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MarkBit {
-    /// A plain load and store: exact only while one thread marks.
-    Single,
-    /// An atomic `fetch_or`: exactly one of several racing markers sees
-    /// the bit go from 0 to 1.
-    Atomic,
-}
-
 /// What [`Heap::mark_candidate`] made of a candidate address.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MarkHit {
@@ -1026,13 +1016,16 @@ impl Heap {
     /// the mark bit's test-and-set. In minor mode an old object (or any
     /// survivor of a pending block, which the deferred sweep will tenure)
     /// is valid but never marked.
+    ///
+    /// The mark bit is set through `&self` with a plain load and store,
+    /// which is exact because one marker runs at a time; the shared borrow
+    /// lets the mark loops hold descriptors borrowed from the heap.
     #[inline]
     pub fn mark_candidate(
         &self,
         addr: Addr,
         minor: bool,
         accept: impl FnOnce(Addr) -> bool,
-        bit: MarkBit,
     ) -> MarkHit {
         let live = self.live_slot(self.page_table.get(addr.page()), addr);
         let Some((block, slot)) = live.filter(|&(b, slot)| accept(b.slot_base(slot))) else {
@@ -1041,11 +1034,7 @@ impl Heap {
         if minor && (block.pending || block.old.get(slot)) {
             return MarkHit::Valid;
         }
-        let newly = match bit {
-            MarkBit::Single => block.marked.set_relaxed(slot),
-            MarkBit::Atomic => block.marked.set_atomic(slot),
-        };
-        if newly {
+        if block.marked.set_relaxed(slot) {
             MarkHit::Newly(block.obj_ref(slot))
         } else {
             MarkHit::Valid
@@ -1530,7 +1519,7 @@ pub fn accept_all(_page: PageIdx, _use_: PageUse) -> bool {
 #[cfg(test)]
 fn resolve_marking(heap: &mut Heap, addr: Addr) -> Option<ObjRef> {
     heap.clear_marks();
-    match heap.mark_candidate(addr, false, |_| true, MarkBit::Single) {
+    match heap.mark_candidate(addr, false, |_| true) {
         MarkHit::Newly(obj) => Some(obj),
         MarkHit::Invalid => None,
         MarkHit::Valid => unreachable!("marks were just cleared"),
@@ -1766,7 +1755,7 @@ mod tests {
 
     #[test]
     fn heap_is_sync() {
-        // Parallel mark workers share `&Heap` across scoped threads.
+        // Mark bits are set through `&Heap`; the heap stays shareable.
         fn assert_sync<T: Sync + Send>() {}
         assert_sync::<Heap>();
     }
@@ -1779,18 +1768,13 @@ mod tests {
             .unwrap();
         heap.clear_marks();
         let obj = heap.object_containing(a).unwrap();
-        let mark = |bit| heap.mark_candidate(a, false, |_| true, bit);
+        let mark = || heap.mark_candidate(a, false, |_| true);
         assert_eq!(
-            mark(MarkBit::Atomic),
+            mark(),
             MarkHit::Newly(obj),
-            "first shared mark wins"
+            "the first shared mark sets the bit"
         );
-        assert_eq!(mark(MarkBit::Atomic), MarkHit::Valid, "already marked");
-        assert_eq!(
-            mark(MarkBit::Single),
-            MarkHit::Valid,
-            "single-worker path agrees"
-        );
+        assert_eq!(mark(), MarkHit::Valid, "already marked");
         assert!(!heap.set_marked(obj), "exclusive path sees the shared mark");
         assert!(heap.is_marked(obj));
         let stats = heap.sweep(false);

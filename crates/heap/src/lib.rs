@@ -51,7 +51,7 @@ pub use error::HeapError;
 pub use explicit::ExplicitHeap;
 pub use freelist::FreeListPolicy;
 pub use heap::{
-    accept_all, Descriptor, DescriptorId, Heap, HeapConfig, HeapStats, LazySweepStats, MarkBit,
-    MarkHit, PagePredicate, PageUse, SizeClassCensus, SweepStats,
+    accept_all, Descriptor, DescriptorId, Heap, HeapConfig, HeapStats, LazySweepStats, MarkHit,
+    PagePredicate, PageUse, SizeClassCensus, SweepStats,
 };
 pub use sizeclass::{SizeClass, GRANULE_BYTES, MAX_SMALL_BYTES};

@@ -2,7 +2,7 @@
 
 use gc_heap::{
     accept_all, BlockShape, Descriptor, ExplicitHeap, FreeListPolicy, Heap, HeapConfig, HeapError,
-    MarkBit, MarkHit, ObjectKind, PageUse, SizeClass, SweepStats,
+    MarkHit, ObjectKind, PageUse, SizeClass, SweepStats,
 };
 use gc_vmspace::{Addr, AddressSpace, Endian, PageIdx, PAGE_BYTES};
 use proptest::prelude::*;
@@ -833,9 +833,9 @@ proptest! {
     /// and leaves the same mark bits, as the reference composition, on
     /// random heaps with small and large blocks, typed and untyped slots,
     /// trailing waste, pending lazy snapshots (full and minor) and reused
-    /// block ids — for every pointer policy, in full and minor mode, with
-    /// either mark-bit kind. The scan's
-    /// `descriptor_of_obj` agrees with `descriptor_of` on every live object.
+    /// block ids — for every pointer policy, in full and minor mode. The
+    /// scan's `descriptor_of_obj` agrees with `descriptor_of` on every live
+    /// object.
     #[test]
     fn mark_kernel_matches_reference_composition(
         rounds in proptest::collection::vec(
@@ -859,16 +859,14 @@ proptest! {
         let policies: [fn(Addr, Addr) -> bool; 3] = [all_interior, first_page, base_only];
         for (p, policy) in policies.into_iter().enumerate() {
             for minor in [false, true] {
-                for bit in [MarkBit::Single, MarkBit::Atomic] {
-                    let (kernel, _) = kernel_heap(&rounds, pending, premark);
-                    let (mut reference, _) = kernel_heap(&rounds, pending, premark);
-                    for &addr in &probes {
-                        let got = kernel.mark_candidate(addr, minor, |base| policy(addr, base), bit);
-                        let want = reference_mark(&mut reference, addr, policy, minor);
-                        prop_assert_eq!(got, want, "{} policy {} minor {} {:?}", addr, p, minor, bit);
-                    }
-                    prop_assert_eq!(mark_bits(&kernel), mark_bits(&reference));
+                let (kernel, _) = kernel_heap(&rounds, pending, premark);
+                let (mut reference, _) = kernel_heap(&rounds, pending, premark);
+                for &addr in &probes {
+                    let got = kernel.mark_candidate(addr, minor, |base| policy(addr, base));
+                    let want = reference_mark(&mut reference, addr, policy, minor);
+                    prop_assert_eq!(got, want, "{} policy {} minor {}", addr, p, minor);
                 }
+                prop_assert_eq!(mark_bits(&kernel), mark_bits(&reference));
             }
         }
     }

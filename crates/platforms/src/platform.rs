@@ -174,9 +174,6 @@ impl Profile {
             pointer_policy: opts.pointer_policy,
             ..GcConfig::default()
         };
-        if let Some(threads) = opts.mark_threads {
-            gc.mark_threads = threads;
-        }
         if let Some(lazy) = opts.lazy_sweep {
             gc.lazy_sweep = lazy;
         }

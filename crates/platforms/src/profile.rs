@@ -56,8 +56,9 @@ pub struct BuildOptions {
     /// Interior-pointer policy (Table 1 uses the default,
     /// [`PointerPolicy::AllInterior`](gc_core::PointerPolicy)).
     pub pointer_policy: gc_core::PointerPolicy,
-    /// Mark-phase worker threads; `None` keeps the collector default, 1
-    /// (the serial marker).
+    /// Ignored: every collection marks serially. The field remains only
+    /// because the benchmark assigns it (`perfbench/src/main.rs:236`); it
+    /// goes with the benchmark change of ROADMAP item 2.
     pub mark_threads: Option<u32>,
     /// Lazy (allocation-driven) sweeping; `None` keeps the collector
     /// default, an eager sweep.

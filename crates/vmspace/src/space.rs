@@ -40,8 +40,8 @@ pub struct AddressSpace {
     /// scans touch long runs of addresses within one segment, and a
     /// mutator alternates between its stack and the heap, so one of the
     /// two hits almost always. Atomic (relaxed; `NO_CACHE` = empty) so
-    /// shared `&AddressSpace` scans from parallel mark workers stay legal
-    /// — the cache is only ever a hint.
+    /// lookups through `&AddressSpace` can update it while the space stays
+    /// `Sync` — the cache is only ever a hint.
     cache: [AtomicU32; 2],
 }
 
@@ -736,7 +736,7 @@ mod tests {
 
     #[test]
     fn address_space_is_sync() {
-        // Parallel mark workers share `&AddressSpace` across scoped threads.
+        // The lookup cache is updated through `&self`; the space stays shareable.
         fn assert_sync<T: Sync + Send>() {}
         assert_sync::<AddressSpace>();
     }

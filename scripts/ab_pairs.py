@@ -21,6 +21,12 @@ working tree is better (ties count for neither side), and whether the
 working tree's median is within the metric's bound of the parent's (for a
 lower-is-better metric: change <= parent * (1 + bound)), as a Markdown
 table row.
+
+A round too noisy to read reports "unresolved" in place of "yes" or "no":
+when the parent's own spread, its third quartile minus its first, is
+wider than the metric's bound times the parent's median, the medians
+cannot show a difference of the bound's size. The exception is a change
+whose every run is better than every parent run, which is "yes".
 """
 
 import argparse
@@ -114,6 +120,18 @@ def within_bound(parent, change, metric):
     return c >= p * (1 - metric["bound"])
 
 
+def verdict(parent, change, metric):
+    """'yes' or 'no' by `within_bound`, or 'unresolved' when the parent's
+    spread is wider than the bound and the change's runs do not all beat
+    every parent run."""
+    q1, med, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    if q3 - q1 > metric["bound"] * abs(med):
+        dominates = (max(change) < min(parent) if metric["better"] == "lower"
+                     else min(change) > max(parent))
+        return "yes" if dominates else "unresolved"
+    return "yes" if within_bound(parent, change, metric) else "no"
+
+
 def workloads(arg):
     """The workloads named by --workload: `all`, or a comma-separated list."""
     if arg == "all":
@@ -184,7 +202,7 @@ def main():
             c = [r["metrics"][name]["value"] for r in runs["change"]]
             sign = 1 if m["better"] == "lower" else -1
             wins = sum(1 for x, y in zip(p, c) if sign * (y - x) < 0)
-            ok = "yes" if within_bound(p, c, m) else "no"
+            ok = verdict(p, c, m)
             print(f"| {workload} | {name} | {summary(p)} | {summary(c)} | "
                   f"{wins}/{len(p)} | {ok} ({m['bound']:.0%}) |")
 

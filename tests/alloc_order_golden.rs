@@ -7,9 +7,8 @@
 //! mutator and the Table-1 Program T run and compares each outcome with a
 //! digest recorded when allocation still went through a per-slot free
 //! list merged with a bump cursor. Matching digests mean the block-bitmap
-//! allocator hands out exactly the addresses that design did, across the
-//! matrix of sweep strategy (eager × lazy) and mark parallelism (1 × 4
-//! threads).
+//! allocator hands out exactly the addresses that design did, under both
+//! sweep strategies (eager and lazy).
 //!
 //! A digest is FNV-1a over the `Debug` form of the fingerprint, so a
 //! mismatch means some field changed; rerun the old and new code and
@@ -27,29 +26,22 @@ use std::fmt::Debug;
 
 const ROOT_SLOTS: u32 = 12;
 
-/// Recorded `run_trace` digests: `(seed, lazy_sweep, mark_threads, digest)`.
+/// Recorded `run_trace` digests: `(seed, lazy_sweep, digest)`.
 /// The lazy rows equal the eager ones: a lazy snapshot releases empty
 /// blocks as the eager sweep does, so both sweeps place every object
 /// alike.
-const TRACE_GOLDEN: [(u64, bool, u32, u64); 8] = [
-    (3, false, 1, 0xeb7d_604e_cb99_e178),
-    (3, false, 4, 0xeb7d_604e_cb99_e178),
-    (3, true, 1, 0xeb7d_604e_cb99_e178),
-    (3, true, 4, 0xeb7d_604e_cb99_e178),
-    (41, false, 1, 0x6822_c46a_e5a2_c920),
-    (41, false, 4, 0x6822_c46a_e5a2_c920),
-    (41, true, 1, 0x6822_c46a_e5a2_c920),
-    (41, true, 4, 0x6822_c46a_e5a2_c920),
+const TRACE_GOLDEN: [(u64, bool, u64); 4] = [
+    (3, false, 0xeb7d_604e_cb99_e178),
+    (3, true, 0xeb7d_604e_cb99_e178),
+    (41, false, 0x6822_c46a_e5a2_c920),
+    (41, true, 0x6822_c46a_e5a2_c920),
 ];
 
 /// Recorded digests of the Table-1 Program T report (SPARC statics,
-/// blacklisting on, seed 11, scale divisor 25):
-/// `(lazy_sweep, mark_threads, digest)`.
-const TABLE1_GOLDEN: [(bool, u32, u64); 4] = [
-    (false, 1, 0x2e3d_8463_157b_9f24),
-    (false, 4, 0x2e3d_8463_157b_9f24),
-    (true, 1, 0x2e3d_8463_157b_9f24),
-    (true, 4, 0x2e3d_8463_157b_9f24),
+/// blacklisting on, seed 11, scale divisor 25): `(lazy_sweep, digest)`.
+const TABLE1_GOLDEN: [(bool, u64); 2] = [
+    (false, 0x2e3d_8463_157b_9f24),
+    (true, 0x2e3d_8463_157b_9f24),
 ];
 
 /// 64-bit FNV-1a of the `Debug` form of `value`.
@@ -99,7 +91,7 @@ fn live_addresses(m: &Machine) -> Vec<u32> {
 /// triggering: the threshold is low enough that collections fire from the
 /// allocation path itself, so trigger timing (and hence every downstream
 /// observable) would expose any drift in allocation order.
-fn run_trace(seed: u64, lazy_sweep: bool, mark_threads: u32) -> RunFingerprint {
+fn run_trace(seed: u64, lazy_sweep: bool) -> RunFingerprint {
     let triggers = observer(Triggers::default());
     let handle = triggers.clone();
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -114,7 +106,6 @@ fn run_trace(seed: u64, lazy_sweep: bool, mark_threads: u32) -> RunFingerprint {
             },
             blacklisting: true,
             lazy_sweep,
-            mark_threads,
             min_bytes_between_gcs: 16 << 10,
             free_space_divisor: 4,
             observer: Some(handle),
@@ -177,8 +168,8 @@ fn run_trace(seed: u64, lazy_sweep: bool, mark_threads: u32) -> RunFingerprint {
 #[test]
 fn trace_fingerprints_match_the_recorded_allocation_order() {
     let mut mismatches = Vec::new();
-    for (seed, lazy_sweep, mark_threads, want) in TRACE_GOLDEN {
-        let run = run_trace(seed, lazy_sweep, mark_threads);
+    for (seed, lazy_sweep, want) in TRACE_GOLDEN {
+        let run = run_trace(seed, lazy_sweep);
         assert!(
             run.collections > 4,
             "trace collected often enough to compare (got {})",
@@ -193,7 +184,7 @@ fn trace_fingerprints_match_the_recorded_allocation_order() {
         let got = digest(&run);
         if got != want {
             mismatches.push(format!(
-                "({seed}, {lazy_sweep}, {mark_threads}, {got:#018x}) recorded {want:#018x}"
+                "({seed}, {lazy_sweep}, {got:#018x}) recorded {want:#018x}"
             ));
         }
     }
@@ -211,17 +202,14 @@ fn table1_retention_matches_the_recorded_run() {
     let profile = Profile::sparc_static(false);
     let shape = table1::shape_for(&profile, 25);
     let mut mismatches = Vec::new();
-    for (lazy_sweep, mark_threads, want) in TABLE1_GOLDEN {
+    for (lazy_sweep, want) in TABLE1_GOLDEN {
         let mut platform = profile.build_custom(
             BuildOptions {
                 seed: 11,
                 blacklisting: true,
                 ..BuildOptions::default()
             },
-            |gc| {
-                gc.lazy_sweep = lazy_sweep;
-                gc.mark_threads = mark_threads;
-            },
+            |gc| gc.lazy_sweep = lazy_sweep,
         );
         let Platform { machine, hooks, .. } = &mut platform;
         let report = shape.run(machine, &mut |m| hooks.tick(m));
@@ -229,7 +217,7 @@ fn table1_retention_matches_the_recorded_run() {
         let got = digest(&report);
         if got != want {
             mismatches.push(format!(
-                "({lazy_sweep}, {mark_threads}, {got:#018x}) recorded {want:#018x}: {report:?}"
+                "({lazy_sweep}, {got:#018x}) recorded {want:#018x}: {report:?}"
             ));
         }
     }

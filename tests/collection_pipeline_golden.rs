@@ -14,10 +14,9 @@
 //! end's resurrection and link clearing run with work to do.
 //!
 //! A digest is FNV-1a over the `Debug` form of the fingerprint: the event
-//! stream without durations and phase times (and without `MarkWorker`,
-//! whose split depends on scheduling), every collection's statistics
-//! without its timings and page-resolve cache counters, and the sorted
-//! live heap at the end. A mismatch means some field changed; rerun the
+//! stream without durations and phase times, every collection's
+//! statistics without its timings and page-resolve cache counters, and
+//! the sorted live heap at the end. A mismatch means some field changed; rerun the
 //! old and new code and diff the `Debug` output to see which.
 
 use rand::rngs::SmallRng;
@@ -90,7 +89,6 @@ impl GcObserver for Events {
                 pending_blocks,
                 ..
             } => format!("lazy {blocks_swept} {objects_freed} {bytes_freed} {pending_blocks}"),
-            GcEvent::MarkWorker { .. } => return,
             ref other => format!("{other:?}"),
         };
         self.0.push(line);
@@ -98,10 +96,12 @@ impl GcObserver for Events {
 }
 
 /// A collection's statistics without its timings and resolve counters.
+/// The closing `par=None` is how the digests recorded the statistics'
+/// former parallel-mark field, which was always `None` here.
 fn cycle_key(c: &CollectionStats) -> String {
     format!(
         "{} {:?} {:?} roots={} heap={} cand={} valid={} false={} newbl={} bl={} \
-         marked={}/{} fin={} allocs={}/{} {:?} par={:?}",
+         marked={}/{} fin={} allocs={}/{} {:?} par=None",
         c.gc_no,
         c.kind,
         c.reason,
@@ -118,7 +118,6 @@ fn cycle_key(c: &CollectionStats) -> String {
         c.fast_path_allocs,
         c.slow_path_allocs,
         c.sweep,
-        c.parallel_mark,
     )
 }
 
@@ -139,7 +138,6 @@ fn config(mode: Mode, events: sec_gc::core::SharedObserver) -> GcConfig {
         },
         blacklisting: true,
         // Pinned so every CI leg checks the same digest.
-        mark_threads: 1,
         resolve_cache: true,
         lazy_sweep: false,
         min_bytes_between_gcs: 16 << 10,

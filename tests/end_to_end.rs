@@ -18,7 +18,6 @@ fn blacklisting_collapses_sparc_static_retention() {
     let config = Table1Config {
         seeds: vec![11],
         scale: 8,
-        ..Table1Config::default()
     };
     let row = table1::run_row(&profile, &config);
     let without = row.no_blacklisting.hi();

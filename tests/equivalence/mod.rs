@@ -1,15 +1,15 @@
 //! The configuration-equivalence harness shared by the differential tests.
 //!
-//! The collector's implementation knobs — parallel marking and lazy
-//! sweeping — are observationally identical to the paper's serial, eager
-//! collector. [`configs`] is the one list of compared configurations;
-//! each test file takes the entries of one [`Axis`] and compares them,
-//! exactly, with the baseline on randomized typed+untyped traces
-//! (fingerprinted after every collection, live addresses read
-//! mid-pending) and on Table-1 retention. Only durations and per-worker
-//! splits may differ. `GcConfig::default()` reads no environment, so
-//! each configuration is an explicit input. `mark_trace_golden.rs` pins
-//! the baseline itself to recorded digests.
+//! The collector's one implementation knob, lazy sweeping, is
+//! observationally identical to the paper's eager collector, and the
+//! fields the benchmark still assigns but the collector ignores
+//! (`mark_threads`, `mark_threads_force`) change nothing. Each test file
+//! compares its [`Cfg`] exactly with the baseline on randomized
+//! typed+untyped traces (fingerprinted after every collection, live
+//! addresses read mid-pending) and on Table-1 retention. Only durations
+//! may differ. `GcConfig::default()` reads no environment, so each
+//! configuration is an explicit input. `mark_trace_golden.rs` pins the
+//! baseline itself to recorded digests.
 
 // Each test binary uses its own part of the harness.
 #![allow(dead_code)]
@@ -34,74 +34,41 @@ pub const GENERATIONAL_SEEDS: [u64; 3] = [5, 23, 29];
 /// One compared configuration of the collector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Cfg {
-    pub mark_threads: u32,
-    /// Spawn every worker even past the core count, so they really race.
-    pub force: bool,
     pub lazy_sweep: bool,
-}
-
-/// Which knobs a configuration moves away from the baseline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Axis {
-    /// More than one mark worker; eager sweep.
-    Threads,
-    /// Lazy sweeping; one marker.
-    Sweep,
-    /// Both knobs at once.
-    Crossed,
+    /// Sets the ignored fields the benchmark assigns: four mark threads,
+    /// forced.
+    pub ignored_fields: bool,
 }
 
 impl Cfg {
-    /// The paper's collector: one serial marker, an eager sweep.
+    /// The paper's collector: an eager sweep.
     pub const BASELINE: Cfg = Cfg {
-        mark_threads: 1,
-        force: false,
         lazy_sweep: false,
+        ignored_fields: false,
     };
     /// The baseline with lazy sweeping.
     pub const LAZY: Cfg = Cfg {
         lazy_sweep: true,
         ..Cfg::BASELINE
     };
+    /// The baseline with the ignored fields set.
+    pub const IGNORED: Cfg = Cfg {
+        ignored_fields: true,
+        ..Cfg::BASELINE
+    };
+    /// Lazy sweeping with the ignored fields set.
+    pub const CROSSED: Cfg = Cfg {
+        lazy_sweep: true,
+        ignored_fields: true,
+    };
 
     pub fn apply(self, gc: &mut GcConfig) {
-        gc.mark_threads = self.mark_threads;
-        gc.mark_threads_force = self.force;
         gc.lazy_sweep = self.lazy_sweep;
-    }
-
-    pub fn axis(self) -> Axis {
-        match (self.mark_threads != 1, self.lazy_sweep) {
-            (true, false) => Axis::Threads,
-            (false, true) => Axis::Sweep,
-            _ => Axis::Crossed,
+        if self.ignored_fields {
+            gc.mark_threads = 4;
+            gc.mark_threads_force = true;
         }
     }
-}
-
-/// Every configuration compared with the baseline: {1; forced 2, 4, 8;
-/// unforced 4 (clamped to the host's cores)} × {eager, lazy}. Retiring a
-/// knob means deleting its axis here.
-pub fn configs() -> Vec<Cfg> {
-    let mut out = Vec::new();
-    for (mark_threads, force) in [(1, false), (2, true), (4, true), (8, true), (4, false)] {
-        for lazy_sweep in [false, true] {
-            let cfg = Cfg {
-                mark_threads,
-                force,
-                lazy_sweep,
-            };
-            if cfg != Cfg::BASELINE {
-                out.push(cfg);
-            }
-        }
-    }
-    out
-}
-
-/// The entries of [`configs`] that move exactly `axis`.
-pub fn configs_on(axis: Axis) -> Vec<Cfg> {
-    configs().into_iter().filter(|c| c.axis() == axis).collect()
 }
 
 /// Everything observable about one collection that must not depend on the
@@ -158,7 +125,7 @@ fn fingerprint(m: &Machine, stats: &CollectionStats) -> CollectionFingerprint {
 
 /// Runs a deterministic randomized typed+untyped workload and fingerprints
 /// every collection. Only `cfg` varies between compared runs.
-fn run_trace(seed: u64, generational: bool, cfg: Cfg) -> Vec<CollectionFingerprint> {
+pub fn trace(seed: u64, generational: bool, cfg: Cfg) -> Vec<CollectionFingerprint> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut gc = GcConfig {
         heap: HeapConfig {
@@ -224,8 +191,7 @@ fn run_trace(seed: u64, generational: bool, cfg: Cfg) -> Vec<CollectionFingerpri
                     m.store(Addr::new(from) + rng.random_range(0..3u32) * 4, to);
                 }
             }
-            // A heap-sourced false reference stored inside an object: the
-            // provenance class parallel workers buffer and merge.
+            // A heap-sourced false reference stored inside an object.
             70..=79 => {
                 if !recent.is_empty() {
                     let host = recent[rng.random_range(0..recent.len())];
@@ -255,20 +221,15 @@ fn run_trace(seed: u64, generational: bool, cfg: Cfg) -> Vec<CollectionFingerpri
     fingerprints
 }
 
-/// The baseline's fingerprint of every collection of the trace at `seed`.
-pub fn baseline_trace(seed: u64, generational: bool) -> Vec<CollectionFingerprint> {
-    run_trace(seed, generational, Cfg::BASELINE)
-}
-
 /// Compares each of `cfgs`' traces, addresses included, with the
 /// baseline's at each seed.
 pub fn traces_are_configuration_invariant(cfgs: &[Cfg], seeds: &[u64], generational: bool) {
     assert!(!cfgs.is_empty(), "no configuration to compare");
     for &seed in seeds {
-        let base = run_trace(seed, generational, Cfg::BASELINE);
+        let base = trace(seed, generational, Cfg::BASELINE);
         assert!(base.len() > 10, "trace collected often enough to compare");
         for &cfg in cfgs {
-            let run = run_trace(seed, generational, cfg);
+            let run = trace(seed, generational, cfg);
             assert_eq!(
                 base, run,
                 "seed {seed} (generational={generational}): {cfg:?} diverged from the baseline"
@@ -302,11 +263,10 @@ fn table1_key(r: &ProgramTReport) -> impl PartialEq + std::fmt::Debug {
     (counts, r.fraction_retained().to_bits(), fates)
 }
 
-/// The baseline's Table-1 key on SPARC statics (seed 11, scale divisor
-/// 25).
-pub fn baseline_table1_key(blacklisting: bool) -> impl std::fmt::Debug {
+/// `cfg`'s Table-1 key on SPARC statics (seed 11, scale divisor 25).
+pub fn table1_key_of(blacklisting: bool, cfg: Cfg) -> impl std::fmt::Debug {
     let profile = Profile::sparc_static(false);
-    table1_key(&table1_run(&profile, blacklisting, Cfg::BASELINE))
+    table1_key(&table1_run(&profile, blacklisting, cfg))
 }
 
 /// Table-1 retention — the paper's headline metric, on its worst-case

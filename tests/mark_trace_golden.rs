@@ -9,6 +9,9 @@
 //! collection — and the Table-1 Program T run with blacklisting off and
 //! on, and compares each outcome with a digest recorded while marking
 //! still went through a page-resolve cache and a per-scan segment hint.
+//! Each replay runs twice: as recorded, and with the fields the benchmark
+//! assigns but the collector ignores set (`mark_threads = 4`,
+//! `mark_threads_force = true`), which must not move a digest.
 //!
 //! A digest is FNV-1a over the `Debug` form of the fingerprint, so a
 //! mismatch means some field changed; rerun the old and new code and
@@ -16,7 +19,7 @@
 
 mod equivalence;
 
-use equivalence::{baseline_table1_key, baseline_trace, FULL_SEEDS, GENERATIONAL_SEEDS};
+use equivalence::{table1_key_of, trace, Cfg, FULL_SEEDS, GENERATIONAL_SEEDS};
 use std::fmt::Debug;
 
 /// Recorded stop-the-world trace digests: `(seed, digest)`.
@@ -42,6 +45,9 @@ const TABLE1_GOLDEN: [(bool, u64); 2] = [
     (true, 0x221f_7ad7_e13e_980e),
 ];
 
+/// The configurations each recorded digest must hold for.
+const REPLAYED: [Cfg; 2] = [Cfg::BASELINE, Cfg::IGNORED];
+
 /// 64-bit FNV-1a of the `Debug` form of `value`.
 fn digest(value: &impl Debug) -> u64 {
     format!("{value:?}")
@@ -57,12 +63,16 @@ fn traces_match(golden: &[(u64, u64)], seeds: &[u64], generational: bool) {
     let recorded: Vec<u64> = golden.iter().map(|&(seed, _)| seed).collect();
     assert_eq!(recorded, seeds, "one recorded digest per harness seed");
     let mut mismatches = Vec::new();
-    for &(seed, want) in golden {
-        let run = baseline_trace(seed, generational);
-        assert!(run.len() > 10, "trace collected often enough to compare");
-        let got = digest(&run);
-        if got != want {
-            mismatches.push(format!("({seed}, {got:#018x}) recorded {want:#018x}"));
+    for cfg in REPLAYED {
+        for &(seed, want) in golden {
+            let run = trace(seed, generational, cfg);
+            assert!(run.len() > 10, "trace collected often enough to compare");
+            let got = digest(&run);
+            if got != want {
+                mismatches.push(format!(
+                    "{cfg:?} ({seed}, {got:#018x}) recorded {want:#018x}"
+                ));
+            }
         }
     }
     assert!(
@@ -84,12 +94,14 @@ fn generational_trace_fingerprints_match_the_recording() {
 #[test]
 fn table1_retention_matches_the_recording() {
     let mut mismatches = Vec::new();
-    for (blacklisting, want) in TABLE1_GOLDEN {
-        let got = digest(&baseline_table1_key(blacklisting));
-        if got != want {
-            mismatches.push(format!(
-                "({blacklisting}, {got:#018x}) recorded {want:#018x}"
-            ));
+    for cfg in REPLAYED {
+        for (blacklisting, want) in TABLE1_GOLDEN {
+            let got = digest(&table1_key_of(blacklisting, cfg));
+            if got != want {
+                mismatches.push(format!(
+                    "{cfg:?} ({blacklisting}, {got:#018x}) recorded {want:#018x}"
+                ));
+            }
         }
     }
     assert!(

@@ -452,7 +452,6 @@ fn metrics_json_snapshot_has_the_documented_schema() {
             "generational",
             "incremental",
             "lazy_sweep",
-            "mark_threads",
             "pointer_policy",
             "scan_alignment",
         ]

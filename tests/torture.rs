@@ -60,7 +60,7 @@ enum Mode {
     Incremental,
 }
 
-fn machine(seed: u64, mode: Mode, mark_threads: u32, lazy_sweep: bool) -> Machine {
+fn machine(seed: u64, mode: Mode, lazy_sweep: bool) -> Machine {
     let mut m = Machine::new(MachineConfig {
         endian: Endian::Big,
         gc: GcConfig {
@@ -76,10 +76,6 @@ fn machine(seed: u64, mode: Mode, mark_threads: u32, lazy_sweep: bool) -> Machin
             full_gc_every: 3,
             min_bytes_between_gcs: 12 << 10,
             free_space_divisor: 1 << 24,
-            mark_threads,
-            // Really spawn the workers even on a single-core host: the
-            // torture trace is the nastiest racing workload we have.
-            mark_threads_force: mark_threads > 1,
             lazy_sweep,
             ..GcConfig::default()
         },
@@ -106,7 +102,7 @@ fn machine(seed: u64, mode: Mode, mark_threads: u32, lazy_sweep: bool) -> Machin
 /// (the raw object iterator, the generation census, and the size-class
 /// census) and the incrementally maintained `bytes_live` counter must all
 /// describe the same heap. A marker that double-frees, double-sweeps or
-/// loses an object under any worker count breaks one of these first.
+/// loses an object under either sweep breaks one of these first.
 fn check_census(m: &Machine) {
     let heap = m.gc().heap();
     let (mut live_objects, mut live_bytes) = (0u64, 0u64);
@@ -152,9 +148,9 @@ fn check(m: &Machine, shadow: &Shadow) {
     }
 }
 
-fn torture(seed: u64, mode: Mode, steps: u32, (mark_threads, lazy_sweep): (u32, bool)) {
+fn torture(seed: u64, mode: Mode, steps: u32, lazy_sweep: bool) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut m = machine(seed, mode, mark_threads, lazy_sweep);
+    let mut m = machine(seed, mode, lazy_sweep);
     let roots_base = m.alloc_static(ROOT_SLOTS);
     let mut shadow = Shadow {
         roots: vec![0; ROOT_SLOTS as usize],
@@ -282,11 +278,9 @@ fn prune_and_check(m: &mut Machine, shadow: &mut Shadow) {
     check(m, shadow);
 }
 
-/// Every torture configuration runs under serial marking and under four
-/// forced (really racing) mark workers, each with eager and with lazy
-/// sweeping — same trace, same shadow model. Pairs are
-/// `(mark_threads, lazy_sweep)`.
-const CONFIGS: [(u32, bool); 4] = [(1, false), (1, true), (4, false), (4, true)];
+/// Every torture configuration runs with eager and with lazy sweeping —
+/// same trace, same shadow model. Values are `lazy_sweep`.
+const CONFIGS: [bool; 2] = [false, true];
 
 #[test]
 fn torture_full_collections() {

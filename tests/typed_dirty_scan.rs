@@ -5,9 +5,8 @@
 //! minor collection (or an incremental card catch-up) that a full
 //! collection would reclaim. All object-field scanning now routes through
 //! one shared kernel (`scan_object_fields`), so typed objects scan only
-//! their declared pointer offsets on *every* path: the serial drain, the
-//! budgeted incremental drain, the dirty-page scan, and the parallel
-//! workers.
+//! their declared pointer offsets on *every* path: the drain, the
+//! budgeted incremental drain, and the dirty-page scan.
 
 use sec_gc::core::{CollectReason, Collector, GcConfig};
 use sec_gc::heap::{Descriptor, HeapConfig, ObjectKind};
